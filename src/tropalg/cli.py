@@ -162,10 +162,18 @@ def _resolve_slope_arg(arg: str, seed: int):
         return AutoSlopes(count, seed)
     rows = []
     with open(arg, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(t) for t in line.split()])
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                rows.append([float(t) for t in tokens])
+            except ValueError:
+                raise TropicalError(f"{arg}:{lineno}: non-numeric slope entry in {line.strip()!r}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise TropicalError(
+                    f"{arg}:{lineno}: ragged slope row has {len(rows[-1])} entries, expected {len(rows[0])}"
+                )
     if not rows:
         raise TropicalError(f"{arg}: slope file is empty")
     return GivenSlopes(np.array(rows))
@@ -217,6 +225,8 @@ def _residual_table(report: FitReport, data: Dataset) -> str:
 
 
 def run_fit(args) -> int:
+    if args.grid < 1:
+        raise TropicalError(f"--grid needs at least 1 point per axis, got {args.grid}")
     data = ingest_csv(args.data, has_header=not args.no_header, target=args.target)
     clodum = Clodum.parse(args.clodum)
     if args.slopes is None:
@@ -304,7 +314,10 @@ def run_solve(args) -> int:
 def run_eval(args) -> int:
     poly = read_polynomial(args.poly)
     if args.at:
-        pts = np.array([[float(t) for t in args.at.split(",")]])
+        try:
+            pts = np.array([[float(t) for t in args.at.split(",")]])
+        except ValueError:
+            raise TropicalError(f"--at needs comma-separated numbers, got {args.at!r}") from None
     else:
         if not args.data:
             raise TropicalError("eval needs --at or a dataset")

@@ -4,11 +4,13 @@ Fitting happens in two stages: slope vectors are either supplied or estimated
 by clustering numerical derivatives (1-D uses natural-breaks clustering of
 finite differences, higher dimensions cluster local least-squares gradients
 with seeded k-means), and then the optimal intercepts come in closed form
-from the greatest-subsolution machinery: the GLE fit touches the data from
-below and minimizes every l_p residual norm among from-below fits, while the
-MMAE fit (max-plus) shifts it up by half its l_inf error, reaching the
-unconstrained l_inf optimum.  Closed-form tropical line and plane fits are
-provided for every supported clodum.
+as the solution of the design system X (*) b = f, where column k of X is
+term k before its intercept.  Line, plane and max-affine fits all solve it
+through the same GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the
+GLE fit touches the data from below and minimizes every l_p residual norm
+among from-below fits, while the MMAE fit (max-plus) shifts it up by half
+its l_inf error, reaching the unconstrained l_inf optimum.  Tropical line
+and plane fits are provided for every supported clodum.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
+from .solver import _solve_checked
 from .tropgeom import TropicalPolynomial
-from .wlattice import DimensionMismatchError
+from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector
 
 __all__ = [
     "GivenSlopes",
@@ -128,19 +131,6 @@ class FitReport:
     warnings: tuple[str, ...] = ()
 
 
-def _finish(model, x, f, method, source, notes=()) -> FitReport:
-    res = f - model.evaluate(x)
-    return FitReport(
-        model=model,
-        method=method,
-        rms_error=float(np.sqrt(np.mean(res**2))),
-        linf_error=float(np.max(np.abs(res))),
-        residuals=res,
-        slope_source=source,
-        warnings=tuple(notes),
-    )
-
-
 def _check_method(method: str, clodum: Clodum) -> None:
     if method not in ("gle", "mmae"):
         raise ValueError(f"unknown method {method!r}")
@@ -150,37 +140,55 @@ def _check_method(method: str, clodum: Clodum) -> None:
         )
 
 
-def _gle_intercepts(clodum: Clodum, columns: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Column-wise infimum of the scalar adjoint erosion: the GLE solution."""
-    er = np.asarray(clodum.adjoint_erosion(columns, f[:, None]))
-    return er.min(axis=0)
-
-
-def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
-    """Closed-form fit of the tropical line max(mul(a, x), b) to 1-D data.
-
-    The GLE parameters are a = inf_i adjoint_erosion(x_i, f_i) and
-    b = inf_i f_i for every clodum; MMAE (max-plus only) shifts both up by
-    half the GLE l_inf error.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    if x.shape != f.shape or len(x) < 1:
-        raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
+def _check_samples(x: np.ndarray, f: np.ndarray, clodum: Clodum, method: str) -> None:
     _check_method(method, clodum)
     clodum.validate(x)
     clodum.validate(f)
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")
-    a_hat = float(np.min(clodum.adjoint_erosion(x, f)))
-    b_hat = float(np.min(clodum.adjoint_erosion(clodum.unit, f)))
-    slopes = np.array([[1.0], [0.0]])
-    model = TropicalPolynomial(slopes, np.array([a_hat, b_hat]), clodum, "max")
-    X = x[:, None]
+    if not np.isfinite(x).all():
+        raise TropicalError("evaluation points must be finite")
+
+
+def _fit_design(design, slopes, f, clodum: Clodum, method: str, source: str) -> FitReport:
+    """Solve the design system design (*) b = f for the intercepts b.
+
+    Column k of ``design`` is term k of the model before its intercept is
+    applied, so the GLE/MMAE intercepts are exactly the x_hat/x_tilde of the
+    system solver.
+    """
+    sol = _solve_checked(TropicalMatrix(design, clodum), TropicalVector(f, clodum), method)
     if method == "mmae":
-        mu = 0.5 * float(np.max(f - model.evaluate(X)))
-        model = TropicalPolynomial(slopes, model.intercepts + mu, clodum, "max")
-    return _finish(model, X, f, method, "given")
+        intercepts, res = sol.x_tilde.values, sol.residual_mmae
+    else:
+        intercepts, res = sol.x_hat.values, sol.residual_gle
+    model = TropicalPolynomial(slopes, intercepts, clodum, "max")
+    inert = np.flatnonzero(model.inert_mask).tolist()
+    return FitReport(
+        model=model,
+        method=method,
+        rms_error=float(np.sqrt(np.mean(res**2))),
+        linf_error=float(np.max(np.abs(res))),
+        residuals=res,
+        slope_source=source,
+        warnings=(f"terms {inert} received a bottom intercept and are inert",) if inert else (),
+    )
+
+
+def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
+    """Closed-form fit of the tropical line max(mul(a, x), b) to 1-D data.
+
+    The design system has columns x and unit, so the GLE parameters are
+    a = inf_i adjoint_erosion(x_i, f_i) and b = inf_i f_i for every clodum;
+    MMAE (max-plus only) shifts both up by half the GLE l_inf error.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    f = np.asarray(f, dtype=float).reshape(-1)
+    if x.shape != f.shape or len(x) < 1:
+        raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
+    _check_samples(x, f, clodum, method)
+    design = np.column_stack([x, np.full(len(x), clodum.unit)])
+    return _fit_design(design, np.array([[1.0], [0.0]]), f, clodum, method, "given")
 
 
 def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
@@ -189,20 +197,10 @@ def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitRepor
     f = np.asarray(f, dtype=float).reshape(-1)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] != len(f) or len(f) < 1:
         raise DimensionMismatchError("xy must be (m, 2) with one target per sample")
-    _check_method(method, clodum)
-    clodum.validate(xy)
-    clodum.validate(f)
-    if not np.isfinite(f).all():
-        raise TropicalError("target values must be finite")
-    a_hat = float(np.min(clodum.adjoint_erosion(xy[:, 0], f)))
-    b_hat = float(np.min(clodum.adjoint_erosion(xy[:, 1], f)))
-    c_hat = float(np.min(clodum.adjoint_erosion(clodum.unit, f)))
+    _check_samples(xy, f, clodum, method)
+    design = np.column_stack([xy, np.full(len(f), clodum.unit)])
     slopes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    model = TropicalPolynomial(slopes, np.array([a_hat, b_hat, c_hat]), clodum, "max")
-    if method == "mmae":
-        mu = 0.5 * float(np.max(f - model.evaluate(xy)))
-        model = TropicalPolynomial(slopes, model.intercepts + mu, clodum, "max")
-    return _finish(model, xy, f, method, "given")
+    return _fit_design(design, slopes, f, clodum, method, "given")
 
 
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
@@ -219,7 +217,6 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
             "use fit_line/fit_plane for other cloda"
         )
     _check_method(method, problem.clodum)
-    notes = []
     if isinstance(problem.slopes, GivenSlopes):
         slopes = problem.slopes.values
         source = "given"
@@ -235,45 +232,7 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
             problem.inputs, problem.targets, problem.slopes.count, problem.slopes.seed
         )
         source = "kmeans"
-
-    # one design matmul at O(K m n); the intercept solve and predictions
-    # walk it column by column through a reusable m-sized buffer so the
-    # working set stays cache-resident at large m
-    targets = problem.targets
-    design = np.ascontiguousarray((problem.inputs @ slopes.T).T)
-    k_terms, m = design.shape
-    buf = np.empty(m)
-    intercepts = np.empty(k_terms)
-    for k in range(k_terms):
-        np.subtract(targets, design[k], out=buf)
-        intercepts[k] = buf.min()
-    if np.isneginf(intercepts).any():
-        dead = np.flatnonzero(np.isneginf(intercepts)).tolist()
-        notes.append(f"terms {dead} received a bottom intercept and are inert")
-
-    def predictions():
-        pred = np.full(m, -_INF)
-        for k in range(k_terms):
-            np.add(design[k], intercepts[k], out=buf)
-            np.maximum(pred, buf, out=pred)
-        return pred
-
-    pred = predictions()
-    if method == "mmae":
-        mu = 0.5 * float(np.max(targets - pred))
-        intercepts += mu
-        pred = predictions()
-    model = TropicalPolynomial(slopes, intercepts, MAX_PLUS, "max")
-    res = targets - pred
-    return FitReport(
-        model=model,
-        method=method,
-        rms_error=float(np.sqrt(np.mean(res**2))),
-        linf_error=float(np.max(np.abs(res))),
-        residuals=res,
-        slope_source=source,
-        warnings=tuple(notes),
-    )
+    return _fit_design(problem.inputs @ slopes.T, slopes, problem.targets, MAX_PLUS, method, source)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ subsolutions.  For max-plus systems the unconstrained l_inf optimum (MMAE) is
 the GLE shifted up by half its l_inf residual.  The canonical projection maps
 b to its best from-below approximation in the span of the columns of A, which
 is also a best approximation in the Hilbert projective semimetric.
+
+``solve`` and the line, plane and max-affine fits of ``tropalg.regression``
+run through the same GLE -> mu -> MMAE routine: with the slopes fixed, a
+fit's intercepts are the solution of its design system.
 """
 
 from __future__ import annotations
@@ -63,6 +67,13 @@ def _check_dims(A: TropicalMatrix, b: TropicalVector) -> None:
         raise DimensionMismatchError(f"matrix has {A.shape[0]} rows but b has {len(b)} entries")
 
 
+def _warn_dead_columns(A: TropicalMatrix) -> None:
+    dead = np.all(A.values == A.clodum.bottom, axis=0)
+    if dead.any():
+        cols = np.flatnonzero(dead).tolist()
+        warnings.warn(f"columns {cols} of A are entirely bottom; solution components set to top")
+
+
 def greatest_subsolution(A: TropicalMatrix, b: TropicalVector) -> TropicalVector:
     """Largest x with A (*) x <= b; the greatest solution when one exists.
 
@@ -72,20 +83,41 @@ def greatest_subsolution(A: TropicalMatrix, b: TropicalVector) -> TropicalVector
     because such components are usually a modelling mistake.
     """
     _check_dims(A, b)
-    x = matvec_erode(A, b)
-    dead = np.all(A.values == A.clodum.bottom, axis=0)
-    if dead.any():
-        cols = np.flatnonzero(dead).tolist()
-        warnings.warn(f"columns {cols} of A are entirely bottom; solution components set to top")
-    return x
+    _warn_dead_columns(A)
+    return matvec_erode(A, b)
 
 
-def _residual(A: TropicalMatrix, b: TropicalVector, x: TropicalVector) -> np.ndarray:
-    proj = matvec_dilate(A, x).values
+def _residual(b: np.ndarray, proj: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
-        r = b.values - proj
+        r = b - proj
     # inf - inf: target and projection agree at infinity
     return np.where(np.isnan(r), 0.0, r)
+
+
+def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveResult:
+    """GLE -> mu -> MMAE in one pass over a system already checked by the caller.
+
+    One erosion gives x_hat and one dilation both its residual and ``exact``;
+    mu is half the largest finite-row GLE residual, clamped at 0.
+    """
+    x_hat = matvec_erode(A, b)
+    proj = matvec_dilate(A, x_hat).values
+    r_gle = _residual(b.values, proj)
+    finite = np.isfinite(b.values)
+    mu = 0.5 * max(float(np.max(r_gle[finite])), 0.0) if finite.any() else 0.0
+    x_tilde = None
+    r_mmae = None
+    if method == "mmae":
+        x_tilde = TropicalVector(A.clodum.mul(mu, x_hat.values), A.clodum)
+        r_mmae = _residual(b.values, matvec_dilate(A, x_tilde).values)
+    return SolveResult(
+        x_hat=x_hat,
+        mu=mu,
+        residual_gle=r_gle,
+        exact=bool(np.all(proj == b.values)),
+        x_tilde=x_tilde,
+        residual_mmae=r_mmae,
+    )
 
 
 def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveResult:
@@ -100,7 +132,6 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
         raise ValueError(f"unknown method {method!r}")
     _check_dims(A, b)
     clodum = A.clodum
-    notes: tuple[str, ...] = ()
 
     if method == "mmae" and clodum.kind == "max-times":
         with np.errstate(divide="ignore"):
@@ -124,29 +155,8 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
             f"the MMAE solution is only l_inf-optimal for max-plus, not {clodum.spec_string()}"
         )
 
-    x_hat = greatest_subsolution(A, b)
-    r_gle = _residual(A, b, x_hat)
-    finite = np.isfinite(b.values)
-    if finite.any():
-        mu = 0.5 * max(float(np.max(r_gle[finite])), 0.0)
-    else:
-        mu = 0.0
-    exact = bool(np.all(matvec_dilate(A, x_hat).values == b.values))
-
-    x_tilde = None
-    r_mmae = None
-    if method == "mmae":
-        x_tilde = TropicalVector(clodum.mul(mu, x_hat.values), clodum)
-        r_mmae = _residual(A, b, x_tilde)
-    return SolveResult(
-        x_hat=x_hat,
-        mu=mu,
-        residual_gle=r_gle,
-        exact=exact,
-        x_tilde=x_tilde,
-        residual_mmae=r_mmae,
-        notes=notes,
-    )
+    _warn_dead_columns(A)
+    return _solve_checked(A, b, method)
 
 
 def mmae_solution(A: TropicalMatrix, b: TropicalVector) -> SolveResult:

@@ -137,12 +137,13 @@ def _grid_oracle_min_linf(A, b, center, half_width, points_per_axis=201):
     n = A.shape[1]
     axes = [center[j] + np.linspace(-half_width, half_width, points_per_axis) for j in range(n)]
     best = INF
-    # slice along the first coordinate to bound memory
+    # slice along the first coordinate to bound memory; the max over the
+    # other coordinates does not depend on the slice, so it is taken once
     rest = np.meshgrid(*axes[1:], indexing="ij")
     rest = np.column_stack([r.ravel() for r in rest]) if n > 1 else np.zeros((1, 0))
+    tail = np.max(A[None, :, 1:] + rest[:, None, :], axis=2, initial=-INF)
     for c0 in axes[0]:
-        cand = np.column_stack([np.full(len(rest), c0), rest]) if n > 1 else np.array([[c0]])
-        proj = np.max(A[None, :, :] + cand[:, None, :], axis=2)
+        proj = np.maximum(tail, A[:, 0] + c0)
         errs = np.max(np.abs(proj - b[None, :]), axis=1)
         best = min(best, float(errs.min()))
     return best

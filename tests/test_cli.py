@@ -165,6 +165,36 @@ def test_fit_grid_override(line_csv, tmp_path):
     assert len(grid_rows) == 11
 
 
+def _one_line_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("tropalg: error:")
+    assert err.count("\n") == 1
+
+
+def test_fit_non_numeric_slope_file_is_usage_error(line_csv, tmp_path, capsys):
+    slopes = tmp_path / "slopes.txt"
+    slopes.write_text("1\nsteep\n", encoding="utf-8")
+    rc = main(["fit", str(line_csv), "--slopes", str(slopes), "--out", str(tmp_path / "sf")])
+    _one_line_usage_error(rc, capsys)
+
+
+def test_fit_ragged_slope_file_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "plane.csv"
+    data.write_text("x,y,z\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", encoding="utf-8")
+    slopes = tmp_path / "slopes.txt"
+    slopes.write_text("1 0\n1\n", encoding="utf-8")
+    rc = main(["fit", str(data), "--slopes", str(slopes), "--out", str(tmp_path / "sf")])
+    _one_line_usage_error(rc, capsys)
+
+
+def test_fit_negative_grid_rejected_before_output(line_csv, tmp_path, capsys):
+    out = tmp_path / "g"
+    rc = main(["fit", str(line_csv), "--slopes", "line", "--grid", "-1", "--out", str(out)])
+    _one_line_usage_error(rc, capsys)
+    assert list(tmp_path.glob("g.*")) == []
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -232,6 +262,13 @@ def test_eval_at_point(tmp_path, capsys):
     rc = main(["eval", str(poly), "--at", "10"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "10.0 8.0"
+
+
+def test_eval_non_numeric_point_is_usage_error(tmp_path, capsys):
+    poly = tmp_path / "p.txt"
+    poly.write_text("troppoly max max-plus\n1.0 0.0 | -2.0\n", encoding="utf-8")
+    rc = main(["eval", str(poly), "--at", "1,x"])
+    _one_line_usage_error(rc, capsys)
 
 
 def test_eval_over_dataset(tmp_path, capsys, line_csv):

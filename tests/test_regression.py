@@ -1,5 +1,7 @@
 """Max-affine regression: closed forms, slope estimation, fit invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from tropalg import (
     FitProblem,
     GivenSlopes,
     TropicalError,
+    TropicalMatrix,
+    TropicalVector,
     UnsupportedClodumError,
     estimate_slopes_1d,
     estimate_slopes_nd,
@@ -19,6 +23,7 @@ from tropalg import (
     fit_plane,
     least_squares_line,
     max_softmin,
+    solve,
 )
 from tropalg.regression import _jenks_breaks
 
@@ -122,6 +127,82 @@ def test_plane_constant_data():
 def test_plane_single_sample():
     rep = fit_plane(np.array([[1.0, 2.0]]), [4.0], MAX_PLUS)
     assert rep.residuals[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fits are solves of the design system
+
+
+def test_mmae_never_below_gle():
+    # one sample fits exactly, but the GLE residual can round below zero;
+    # a negative shift would pull MMAE intercepts under the GLE ones
+    def both(fit, *args):
+        return fit(*args, "gle").model.intercepts, fit(*args, "mmae").model.intercepts
+
+    def affine(x, f, method):
+        return fit_max_affine(FitProblem(x, f, GivenSlopes([[1.0], [2.0]])), method)
+
+    for gle, mmae in (
+        both(fit_line, [1.92], [0.31], MAX_PLUS),
+        both(fit_plane, [[0.01, 0.03]], [0.31], MAX_PLUS),
+        both(affine, [[0.02]], [0.01]),
+    ):
+        assert np.all(mmae >= gle)
+
+
+def _samples(clodum, rng, shape):
+    if clodum.kind == "max-min":
+        return rng.uniform(0, 1, shape)
+    if clodum.kind == "max-times":
+        return rng.uniform(0.1, 4, shape)
+    return rng.normal(0, 3, shape)
+
+
+@pytest.mark.parametrize(
+    "clodum, method",
+    [(MAX_PLUS, "gle"), (MAX_PLUS, "mmae"), (MAX_TIMES, "gle"), (MAX_MIN, "gle"),
+     (max_softmin(0.5), "gle")],
+    ids=lambda v: v if isinstance(v, str) else v.spec_string(),
+)
+def test_fits_equal_design_system_solves(clodum, method):
+    rng = np.random.default_rng(53)
+    unit = clodum.unit
+    for _ in range(20):
+        m = int(rng.integers(1, 15))
+        x, xy, f = _samples(clodum, rng, m), _samples(clodum, rng, (m, 2)), _samples(clodum, rng, m)
+        fits = [
+            (fit_line(x, f, clodum, method), np.column_stack([x, np.full(m, unit)])),
+            (fit_plane(xy, f, clodum, method), np.column_stack([xy, np.full(m, unit)])),
+        ]
+        if clodum == MAX_PLUS:
+            slopes = rng.normal(0, 2, (int(rng.integers(1, 5)), 2))
+            rep = fit_max_affine(FitProblem(xy, f, GivenSlopes(slopes)), method)
+            fits.append((rep, xy @ slopes.T))
+        for rep, design in fits:
+            sol = solve(TropicalMatrix(design, clodum), TropicalVector(f, clodum), method)
+            if method == "gle":
+                x_sol, r_sol = sol.x_hat.values, sol.residual_gle
+            else:
+                x_sol, r_sol = sol.x_tilde.values, sol.residual_mmae
+            assert np.array_equal(rep.model.intercepts, x_sol)
+            assert np.array_equal(rep.residuals, r_sol)
+
+
+def test_dead_design_column_does_not_leak_solver_warning():
+    # an all-zero input is an all-bottom design column over max-times: solve
+    # warns about it, the fit must not
+    x = np.zeros(4)
+    f = np.array([0.5, 2.0, 0.0, 1.0])
+    design = TropicalMatrix(np.column_stack([x, np.ones(4)]), MAX_TIMES)
+    with pytest.warns(UserWarning):
+        solve(design, TropicalVector(f, MAX_TIMES))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_line(x, f, MAX_TIMES)
+        clean = fit_line(x, f + 1.0, MAX_TIMES)
+    assert rep.model.intercepts.tolist() == [INF, 0.0]
+    assert rep.warnings == ("terms [1] received a bottom intercept and are inert",)
+    assert clean.warnings == ()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ cloda are provided:
 * ``max-softmin``  -- extended reals with log-sum-exp soft min/max at
   temperature ``theta``.
 
+Each kind is one record of ``_TABLE``: its bounds, units, whether it is a
+clog, and four unchecked kernels (multiplication, dual multiplication,
+residual, conjugation).  Every carrier is the interval ``[bottom, top]``.  The
+kernels assume their operands already lie in it; the public ``Clodum`` ops
+validate first, and library code whose operands come from a validated type
+calls the kernels through ``Clodum._mul`` and its siblings.
+
 Every operation accepts scalars or numpy arrays (broadcasting) and is a pure
 function, so values can be shared freely across threads.
 """
@@ -18,6 +25,7 @@ function, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,16 +43,6 @@ __all__ = [
 
 _INF = float("inf")
 
-_KINDS = ("max-plus", "max-times", "max-min", "max-softmin")
-
-# kind -> (bottom, top, unit, dual_unit)
-_STRUCTURE = {
-    "max-plus": (-_INF, _INF, 0.0, 0.0),
-    "max-times": (0.0, _INF, 1.0, 1.0),
-    "max-min": (0.0, 1.0, 1.0, 0.0),
-    "max-softmin": (-_INF, _INF, _INF, -_INF),
-}
-
 
 class TropicalError(ValueError):
     """Base class for errors raised by this library."""
@@ -61,6 +59,15 @@ class UnsupportedClodumError(TropicalError):
 def _ret(out: np.ndarray):
     """Return python floats for 0-d results, arrays otherwise."""
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _resolved(op, fill: float):
+    """Kernel applying ``op`` and sending its NaN results (inf - inf, 0 * inf) to ``fill``."""
+    def kernel(theta, a, b):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = op(a, b)
+        return np.where(np.isnan(out), fill, out)
+    return kernel
 
 
 def _soft_max(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,6 +89,62 @@ def _soft_min(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), lo, out)
 
 
+def _times_residual(theta, a, w):
+    # w/0 = inf, 0/0 = inf, inf/inf = inf: the solution set of
+    # mul(a, v) <= w is unbounded in all three cases.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = w / a
+    out = np.where(a == 0, _INF, out)
+    return np.where(np.isposinf(w), _INF, out)
+
+
+def _softmin_residual(theta, a, w):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        val = w - theta * np.log(-np.expm1((w - a) / theta))
+    return np.where(w >= a, _INF, val)
+
+
+def _reciprocal(theta, a):
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / a
+
+
+class _Kind(NamedTuple):
+    """Structure and unchecked kernels of one kind of clodum."""
+
+    bottom: float
+    top: float
+    unit: float
+    dual_unit: float
+    is_clog: bool
+    mul: Callable
+    dual_mul: Callable
+    residual: Callable
+    conjugate: Callable
+
+
+# The max-plus residual is upper addition of w and -a; its two NaN patterns
+# (w = a = +inf and w = a = -inf) both have unbounded solution sets.
+_TABLE = {
+    "max-plus": _Kind(-_INF, _INF, 0.0, 0.0, True,
+                      _resolved(np.add, -_INF), _resolved(np.add, _INF),
+                      _resolved(lambda a, w: w - a, _INF), lambda _, a: -a),
+    "max-times": _Kind(0.0, _INF, 1.0, 1.0, True,
+                       _resolved(np.multiply, 0.0), _resolved(np.multiply, _INF),
+                       _times_residual, _reciprocal),
+    "max-min": _Kind(0.0, 1.0, 1.0, 0.0, False,
+                     lambda _, a, b: np.minimum(a, b), lambda _, a, b: np.maximum(a, b),
+                     lambda _, a, w: np.where(w >= a, 1.0, w), lambda _, a: 1.0 - a),
+    "max-softmin": _Kind(-_INF, _INF, _INF, -_INF, False,
+                         _soft_min, _soft_max, _softmin_residual, lambda _, a: -a),
+}
+
+
+def _structure(name: str, doc: str) -> property:
+    """Read-only ``Clodum`` property taken from the kind's record."""
+    return property(lambda self: getattr(_TABLE[self.kind], name), doc=doc)
+
+
 @dataclass(frozen=True)
 class Clodum:
     """A scalar clodum: carrier set, lattice bounds and the two multiplications.
@@ -95,7 +158,7 @@ class Clodum:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _TABLE:
             raise TropicalError(f"unknown clodum kind {self.kind!r}")
         if self.kind == "max-softmin":
             if self.theta is None or not np.isfinite(self.theta) or self.theta <= 0:
@@ -106,46 +169,27 @@ class Clodum:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def bottom(self) -> float:
-        return _STRUCTURE[self.kind][0]
-
-    @property
-    def top(self) -> float:
-        return _STRUCTURE[self.kind][1]
-
-    @property
-    def unit(self) -> float:
-        """Identity of the multiplication."""
-        return _STRUCTURE[self.kind][2]
-
-    @property
-    def dual_unit(self) -> float:
-        """Identity of the dual multiplication."""
-        return _STRUCTURE[self.kind][3]
-
-    @property
-    def is_clog(self) -> bool:
-        """True when finite elements form a group (max-plus, max-times)."""
-        return self.kind in ("max-plus", "max-times")
+    bottom = _structure("bottom", "Least element of the carrier.")
+    top = _structure("top", "Greatest element of the carrier.")
+    unit = _structure("unit", "Identity of the multiplication.")
+    dual_unit = _structure("dual_unit", "Identity of the dual multiplication.")
+    is_clog = _structure("is_clog", "True when finite elements form a group (max-plus, max-times).")
 
     # -- carrier -----------------------------------------------------------
 
     def validate(self, values) -> np.ndarray:
         """Coerce to a float array, rejecting NaN and out-of-carrier values.
 
-        Raises :class:`CarrierError` rather than clamping: silently clamped
-        scalars would corrupt the optimality guarantees of the solvers.
+        Every carrier is the closed interval ``[bottom, top]``.  Raises
+        :class:`CarrierError` rather than clamping: silently clamped scalars
+        would corrupt the optimality guarantees of the solvers.
         """
         arr = np.asarray(values, dtype=float)
-        if np.isnan(arr).any():
-            raise CarrierError(f"NaN is not an element of the {self.kind} carrier")
-        if self.kind == "max-times":
-            if (arr < 0).any():
-                raise CarrierError("max-times carrier is [0, inf]; got a negative value")
-        elif self.kind == "max-min":
-            if ((arr < 0) | (arr > 1)).any():
-                raise CarrierError("max-min carrier is [0, 1]; got a value outside it")
+        k = _TABLE[self.kind]
+        if not ((arr >= k.bottom) & (arr <= k.top)).all():
+            if np.isnan(arr).any():
+                raise CarrierError(f"NaN is not an element of the {self.kind} carrier")
+            raise CarrierError(f"{self.kind} carrier is [{k.bottom:g}, {k.top:g}]; got a value outside it")
         return arr
 
     def contains(self, values) -> bool:
@@ -155,7 +199,19 @@ class Clodum:
             return False
         return True
 
-    # -- operations ---------------------------------------------------------
+    # -- operations: the public methods validate, the unchecked kernels trust --
+
+    def _mul(self, a, b):
+        return _TABLE[self.kind].mul(self.theta, a, b)
+
+    def _dual_mul(self, a, b):
+        return _TABLE[self.kind].dual_mul(self.theta, a, b)
+
+    def _adjoint_erosion(self, a, w):
+        return _TABLE[self.kind].residual(self.theta, a, w)
+
+    def _conjugate(self, a):
+        return _TABLE[self.kind].conjugate(self.theta, a)
 
     def mul(self, a, b):
         """Multiplication (a dilation): distributes over suprema.
@@ -164,39 +220,11 @@ class Clodum:
         lower multiplication (0 * inf = 0), max-min uses min, max-softmin the
         log-sum-exp soft minimum.
         """
-        a = self.validate(a)
-        b = self.validate(b)
-        if self.kind == "max-plus":
-            with np.errstate(invalid="ignore", over="ignore"):
-                out = a + b
-            out = np.where(np.isnan(out), -_INF, out)
-        elif self.kind == "max-times":
-            with np.errstate(invalid="ignore", over="ignore"):
-                out = a * b
-            out = np.where(np.isnan(out), 0.0, out)
-        elif self.kind == "max-min":
-            out = np.minimum(a, b)
-        else:
-            out = _soft_min(self.theta, a, b)
-        return _ret(out)
+        return _ret(self._mul(self.validate(a), self.validate(b)))
 
     def dual_mul(self, a, b):
         """Dual multiplication (an erosion): distributes over infima."""
-        a = self.validate(a)
-        b = self.validate(b)
-        if self.kind == "max-plus":
-            with np.errstate(invalid="ignore", over="ignore"):
-                out = a + b
-            out = np.where(np.isnan(out), _INF, out)
-        elif self.kind == "max-times":
-            with np.errstate(invalid="ignore", over="ignore"):
-                out = a * b
-            out = np.where(np.isnan(out), _INF, out)
-        elif self.kind == "max-min":
-            out = np.maximum(a, b)
-        else:
-            out = _soft_max(self.theta, a, b)
-        return _ret(out)
+        return _ret(self._dual_mul(self.validate(a), self.validate(b)))
 
     def adjoint_erosion(self, a, w):
         """Residual of the multiplication: sup{v : mul(a, v) <= w}.
@@ -204,30 +232,7 @@ class Clodum:
         Together with ``mul`` this forms the scalar adjunction
         ``mul(a, v) <= w  <=>  v <= adjoint_erosion(a, w)``.
         """
-        a = self.validate(a)
-        w = self.validate(w)
-        if self.kind == "max-plus":
-            # upper addition of w and -a; the two NaN patterns (w = a = +inf
-            # and w = a = -inf) both have unbounded solution sets.
-            with np.errstate(invalid="ignore"):
-                out = w - a
-            out = np.where(np.isnan(out), _INF, out)
-        elif self.kind == "max-times":
-            # w/0 = inf, 0/0 = inf, inf/inf = inf: the solution set of
-            # mul(a, v) <= w is unbounded in all three cases.
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                out = w / a
-            out = np.where(a == 0, _INF, out)
-            out = np.where(np.isposinf(w), _INF, out)
-        elif self.kind == "max-min":
-            out = np.where(w >= a, 1.0, w)
-        else:
-            theta = self.theta
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                t = (w - a) / theta
-                val = w - theta * np.log(-np.expm1(t))
-            out = np.where(w >= a, _INF, val)
-        return _ret(out)
+        return _ret(self._adjoint_erosion(self.validate(a), self.validate(w)))
 
     def conjugate(self, a):
         """Lattice negation making the clodum self-conjugate.
@@ -235,15 +240,7 @@ class Clodum:
         Involutive and order reversing; satisfies the De Morgan laws and,
         for clogs, ``conjugate(mul(a, b)) = dual_mul(conjugate(a), conjugate(b))``.
         """
-        a = self.validate(a)
-        if self.kind in ("max-plus", "max-softmin"):
-            out = -a
-        elif self.kind == "max-times":
-            with np.errstate(divide="ignore", over="ignore"):
-                out = 1.0 / a
-        else:
-            out = 1.0 - a
-        return _ret(out)
+        return _ret(self._conjugate(self.validate(a)))
 
     # -- serialization -------------------------------------------------------
 
@@ -266,7 +263,11 @@ class Clodum:
             arg = s.split(":", 1)[1]
             for prefix in ("θ=", "theta="):
                 if arg.startswith(prefix):
-                    return cls("max-softmin", float(arg[len(prefix):]))
+                    try:
+                        theta = float(arg[len(prefix):])
+                    except ValueError:
+                        break
+                    return cls("max-softmin", theta)
         raise TropicalError(f"cannot parse clodum string {text!r}")
 
 

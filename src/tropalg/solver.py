@@ -108,7 +108,7 @@ def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveRe
     x_tilde = None
     r_mmae = None
     if method == "mmae":
-        x_tilde = TropicalVector(A.clodum.mul(mu, x_hat.values), A.clodum)
+        x_tilde = TropicalVector(A.clodum._mul(mu, x_hat.values), A.clodum)
         r_mmae = _residual(b.values, matvec_dilate(A, x_tilde).values)
     return SolveResult(
         x_hat=x_hat,
@@ -190,22 +190,20 @@ def hilbert_metric(x, y) -> float:
     compared through the residuated shifts, giving +inf when no finite
     shift of one fits below the other.
     """
-    xv = x.values if isinstance(x, TropicalVector) else np.asarray(x, dtype=float)
-    yv = y.values if isinstance(y, TropicalVector) else np.asarray(y, dtype=float)
     for v in (x, y):
         if isinstance(v, TropicalVector) and v.clodum != MAX_PLUS:
             raise UnsupportedClodumError("hilbert_metric is defined over max-plus vectors")
+    xv = x.values if isinstance(x, TropicalVector) else MAX_PLUS.validate(x)
+    yv = y.values if isinstance(y, TropicalVector) else MAX_PLUS.validate(y)
     if xv.shape != yv.shape:
         raise DimensionMismatchError(f"length mismatch: {xv.shape} vs {yv.shape}")
-    if np.isnan(xv).any() or np.isnan(yv).any():
-        raise ValueError("NaN entries are not permitted")
     if np.array_equal(xv, yv):
         return 0.0
     if np.isfinite(xv).all() and np.isfinite(yv).all():
         d = xv - yv
         return float(np.max(d) - np.min(d))
     # x\y = sup{c : x + c <= y}, computed per component by residuation
-    s_xy = float(np.min(MAX_PLUS.adjoint_erosion(xv, yv)))
-    s_yx = float(np.min(MAX_PLUS.adjoint_erosion(yv, xv)))
-    total = MAX_PLUS.mul(s_xy, s_yx)
+    s_xy = float(np.min(MAX_PLUS._adjoint_erosion(xv, yv)))
+    s_yx = float(np.min(MAX_PLUS._adjoint_erosion(yv, xv)))
+    total = MAX_PLUS._mul(s_xy, s_yx)
     return float(-total)

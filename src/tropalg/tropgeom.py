@@ -207,7 +207,7 @@ def tropical_sum(p: TropicalPolynomial, q: TropicalPolynomial) -> TropicalPolyno
     if p.dimension != q.dimension:
         raise DimensionMismatchError("operands must share dimension")
     slopes = (p.slopes[:, None, :] + q.slopes[None, :, :]).reshape(-1, p.dimension)
-    inter = np.asarray(MAX_PLUS.mul(p.intercepts[:, None], q.intercepts[None, :])).reshape(-1)
+    inter = MAX_PLUS._mul(p.intercepts[:, None], q.intercepts[None, :]).reshape(-1)
     return TropicalPolynomial(slopes, inter, MAX_PLUS, "max")
 
 

@@ -112,7 +112,7 @@ def matvec_dilate(A: TropicalMatrix, x: TropicalVector) -> TropicalVector:
         raise DimensionMismatchError(f"matrix has {n} columns but vector has {len(x)} entries")
     if n == 0:
         return TropicalVector(np.full(m, clodum.bottom), clodum)
-    prod = clodum.mul(A.values, x.values[None, :])
+    prod = clodum._mul(A.values, x.values[None, :])
     return TropicalVector(np.max(prod, axis=1), clodum)
 
 
@@ -129,7 +129,7 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
         raise DimensionMismatchError(f"matrix has {m} rows but vector has {len(y)} entries")
     if m == 0:
         return TropicalVector(np.full(n, clodum.top), clodum)
-    er = clodum.adjoint_erosion(A.values, y.values[:, None])
+    er = clodum._adjoint_erosion(A.values, y.values[:, None])
     return TropicalVector(np.min(er, axis=0), clodum)
 
 
@@ -142,7 +142,7 @@ def matmul_dilate(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
         raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
     if k == 0:
         return TropicalMatrix(np.full((m, n), clodum.bottom), clodum)
-    prod = clodum.mul(A.values[:, :, None], B.values[None, :, :])
+    prod = clodum._mul(A.values[:, :, None], B.values[None, :, :])
     return TropicalMatrix(np.max(prod, axis=1), clodum)
 
 
@@ -155,7 +155,7 @@ def matmul_erode(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
         raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
     if k == 0:
         return TropicalMatrix(np.full((m, n), clodum.top), clodum)
-    prod = clodum.dual_mul(A.values[:, :, None], B.values[None, :, :])
+    prod = clodum._dual_mul(A.values[:, :, None], B.values[None, :, :])
     return TropicalMatrix(np.min(prod, axis=1), clodum)
 
 
@@ -165,7 +165,7 @@ def conj_transpose(A: TropicalMatrix) -> TropicalMatrix:
         raise UnsupportedClodumError(
             f"conjugate transpose needs a clog, not {A.clodum.spec_string()}"
         )
-    return TropicalMatrix(A.clodum.conjugate(A.values.T), A.clodum)
+    return TropicalMatrix(A.clodum._conjugate(A.values.T), A.clodum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +220,7 @@ def signal_dilate(f: Signal1D, h: Signal1D) -> Signal1D:
     out = np.full(nf + nh - 1, clodum.bottom)
     for i in range(nf):
         seg = out[i:i + nh]
-        np.maximum(seg, clodum.mul(f.values[i], h.values), out=seg)
+        np.maximum(seg, clodum._mul(f.values[i], h.values), out=seg)
     return Signal1D(out, f.origin + h.origin, clodum)
 
 
@@ -236,5 +236,5 @@ def signal_erode(g: Signal1D, h: Signal1D) -> Signal1D:
     rev = h.values[::-1]
     for j in range(ng):
         seg = out[j:j + nh]
-        np.minimum(seg, clodum.adjoint_erosion(rev, g.values[j]), out=seg)
+        np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
     return Signal1D(out, g.origin - h.origin - (nh - 1), clodum)

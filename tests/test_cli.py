@@ -195,6 +195,11 @@ def test_fit_negative_grid_rejected_before_output(line_csv, tmp_path, capsys):
     assert list(tmp_path.glob("g.*")) == []
 
 
+def test_fit_non_numeric_theta_is_usage_error(line_csv, tmp_path, capsys):
+    rc = main(["fit", str(line_csv), "--clodum", "max-softmin:θ=abc", "--out", str(tmp_path / "t")])
+    _one_line_usage_error(rc, capsys)
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -242,6 +247,13 @@ def test_solve_dimension_mismatch_exit_2(tmp_path, capsys):
     write_tropmat(tmp_path / "b2.txt", TropicalMatrix(np.zeros((2, 1)), MAX_PLUS))
     rc = main(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b2.txt")])
     assert rc == 2
+
+
+def test_solve_non_numeric_theta_header_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "M.txt"
+    bad.write_text("tropmat 1 1 max-softmin:theta=zz\n0\n", encoding="utf-8")
+    rc = main(["solve", str(bad), str(bad)])
+    _one_line_usage_error(rc, capsys)
 
 
 def test_solve_mmae_refused_off_maxplus(tmp_path, capsys):

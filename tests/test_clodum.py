@@ -79,6 +79,29 @@ def test_spec_string_round_trip():
     assert Clodum.parse("max-softmin:theta=0.5") == max_softmin(0.5)
 
 
+@pytest.mark.parametrize("text", ["max-softmin:θ=abc", "max-softmin:theta=zz", "max-softmin:θ="])
+def test_parse_non_numeric_theta_is_tropical_error(text):
+    with pytest.raises(TropicalError, match="cannot parse clodum string"):
+        Clodum.parse(text)
+
+
+_BAD_VALUES = [(cl, float("nan")) for cl in ALL_CLODA] + [(MAX_TIMES, -0.5), (MAX_MIN, 1.5)]
+
+
+@pytest.mark.parametrize("op", ["mul", "dual_mul", "adjoint_erosion", "conjugate"])
+@pytest.mark.parametrize("clodum, bad", _BAD_VALUES, ids=str)
+def test_public_ops_reject_values_outside_the_carrier(op, clodum, bad):
+    """The public ops stay a checked boundary, for every operand position."""
+    fn = getattr(clodum, op)
+    arity = 1 if op == "conjugate" else 2
+    for bad_arg in (bad, np.array([0.5, bad])):
+        for position in range(arity):
+            args = [np.array([clodum.unit, 0.5])] * arity
+            args[position] = bad_arg
+            with pytest.raises(CarrierError):
+                fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # multiplication examples
 

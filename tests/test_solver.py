@@ -10,6 +10,7 @@ from tropalg import (
     MAX_MIN,
     MAX_PLUS,
     MAX_TIMES,
+    CarrierError,
     DimensionMismatchError,
     TropicalMatrix,
     TropicalVector,
@@ -302,6 +303,13 @@ def test_hilbert_projection_is_best_approximation():
 def test_hilbert_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         hilbert_metric([0, 1], [0, 1, 2])
+
+
+def test_hilbert_rejects_nan_as_carrier_error():
+    with pytest.raises(CarrierError):
+        hilbert_metric([0.0, float("nan")], [0.0, 1.0])
+    with pytest.raises(CarrierError):
+        hilbert_metric([0.0, 1.0], [float("nan"), -INF])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from tropalg import (
     MAX_MIN,
     MAX_PLUS,
     MAX_TIMES,
+    Clodum,
     ClodumMismatchError,
     DimensionMismatchError,
     Signal1D,
@@ -148,18 +149,23 @@ def test_dimension_mismatch():
 
 @pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
 def test_products_match_oracles_random(clodum):
+    # the vectorized products run the unchecked kernels; with bottom/top
+    # entries sprinkled in they must match the checked scalar oracle bit for
+    # bit, inf/-inf, 0*inf and w/0 conventions included
     rng = np.random.default_rng(11)
     for _ in range(20):
         m, n = rng.integers(1, 6, 2)
-        A = TropicalMatrix(_random_values(clodum, rng, (m, n)), clodum)
-        x = TropicalVector(_random_values(clodum, rng, n), clodum)
-        y = TropicalVector(_random_values(clodum, rng, m), clodum)
-        np.testing.assert_allclose(
-            matvec_dilate(A, x).values, _dilate_oracle(clodum, A.values, x.values), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            matvec_erode(A, y).values, _erode_oracle(clodum, A.values, y.values), atol=1e-12
-        )
+        A_vals = _random_values(clodum, rng, (m, n))
+        x_vals = _random_values(clodum, rng, n)
+        y_vals = _random_values(clodum, rng, m)
+        for vals in (A_vals, x_vals, y_vals):
+            mask = rng.random(vals.shape) < 0.25
+            vals[mask] = np.where(rng.random(mask.sum()) < 0.5, clodum.bottom, clodum.top)
+        A = TropicalMatrix(A_vals, clodum)
+        x = TropicalVector(x_vals, clodum)
+        y = TropicalVector(y_vals, clodum)
+        assert np.array_equal(matvec_dilate(A, x).values, _dilate_oracle(clodum, A.values, x.values))
+        assert np.array_equal(matvec_erode(A, y).values, _erode_oracle(clodum, A.values, y.values))
 
 
 @pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
@@ -400,3 +406,37 @@ def test_empty_reduction_conventions():
     x = TropicalVector(np.zeros(0), MAX_PLUS)
     out_d = matvec_dilate(B, x)
     assert np.all(out_d.values == -INF)
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_products_validate_once_per_typed_object(clodum, monkeypatch):
+    # operands were validated when they were built; the number of carrier
+    # checks a product makes must not grow with the operand size
+    calls = []
+    validate = Clodum.validate
+
+    def counting(self, values):
+        calls.append(1)
+        return validate(self, values)
+
+    monkeypatch.setattr(Clodum, "validate", counting)
+
+    def count(op, *args):
+        calls.clear()
+        op(*args)
+        return len(calls)
+
+    rng = np.random.default_rng(41)
+    h = Signal1D(_random_values(clodum, rng, 5), -2, clodum)
+    counts = []
+    for n in (50, 500):
+        f = Signal1D(_random_values(clodum, rng, n), 0, clodum)
+        counts.append((count(signal_dilate, f, h), count(signal_erode, f, h)))
+    assert counts[0] == counts[1]
+    counts = []
+    for m, k in ((3, 4), (30, 40)):
+        A = TropicalMatrix(_random_values(clodum, rng, (m, k)), clodum)
+        B = TropicalMatrix(_random_values(clodum, rng, (k, m)), clodum)
+        x = TropicalVector(_random_values(clodum, rng, k), clodum)
+        counts.append((count(matvec_dilate, A, x), count(matmul_dilate, A, B)))
+    assert counts[0] == counts[1]

@@ -105,8 +105,9 @@ def _softmin_residual(theta, a, w):
 
 
 def _reciprocal(theta, a):
+    # -0.0 lies in the carrier; like 0.0 its conjugate is +inf, not 1/-0.0 = -inf.
     with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / a
+        return 1.0 / np.abs(a)
 
 
 class _Kind(NamedTuple):

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
@@ -43,6 +42,9 @@ _INF = float("inf")
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-9
+
+# candidate (split, end) pairs per temporary array of the natural-breaks DP
+_JENKS_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -140,29 +142,38 @@ def _check_method(method: str, clodum: Clodum) -> None:
         )
 
 
-def _check_samples(x: np.ndarray, f: np.ndarray, clodum: Clodum, method: str) -> None:
+def _sample_system(
+    x: np.ndarray, f: np.ndarray, clodum: Clodum, method: str
+) -> tuple[TropicalMatrix, TropicalVector]:
+    """The design system [x, unit] (*) b = f of a line or plane fit.
+
+    Building the typed system is the one carrier check of the samples; the
+    finiteness checks follow it, so NaN and out-of-carrier values raise
+    :class:`CarrierError` first.
+    """
     _check_method(method, clodum)
-    clodum.validate(x)
-    clodum.validate(f)
+    design = TropicalMatrix(np.column_stack([x, np.full(len(f), clodum.unit)]), clodum)
+    target = TropicalVector(f, clodum)
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")
     if not np.isfinite(x).all():
         raise TropicalError("evaluation points must be finite")
+    return design, target
 
 
-def _fit_design(design, slopes, f, clodum: Clodum, method: str, source: str) -> FitReport:
+def _fit_design(design: TropicalMatrix, slopes, f: TropicalVector, method: str, source: str) -> FitReport:
     """Solve the design system design (*) b = f for the intercepts b.
 
     Column k of ``design`` is term k of the model before its intercept is
     applied, so the GLE/MMAE intercepts are exactly the x_hat/x_tilde of the
     system solver.
     """
-    sol = _solve_checked(TropicalMatrix(design, clodum), TropicalVector(f, clodum), method)
+    sol = _solve_checked(design, f, method)
     if method == "mmae":
         intercepts, res = sol.x_tilde.values, sol.residual_mmae
     else:
         intercepts, res = sol.x_hat.values, sol.residual_gle
-    model = TropicalPolynomial(slopes, intercepts, clodum, "max")
+    model = TropicalPolynomial(slopes, intercepts, design.clodum, "max")
     inert = np.flatnonzero(model.inert_mask).tolist()
     return FitReport(
         model=model,
@@ -186,9 +197,8 @@ def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.shape != f.shape or len(x) < 1:
         raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
-    _check_samples(x, f, clodum, method)
-    design = np.column_stack([x, np.full(len(x), clodum.unit)])
-    return _fit_design(design, np.array([[1.0], [0.0]]), f, clodum, method, "given")
+    design, target = _sample_system(x, f, clodum, method)
+    return _fit_design(design, np.array([[1.0], [0.0]]), target, method, "given")
 
 
 def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
@@ -197,10 +207,9 @@ def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitRepor
     f = np.asarray(f, dtype=float).reshape(-1)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] != len(f) or len(f) < 1:
         raise DimensionMismatchError("xy must be (m, 2) with one target per sample")
-    _check_samples(xy, f, clodum, method)
-    design = np.column_stack([xy, np.full(len(f), clodum.unit)])
+    design, target = _sample_system(xy, f, clodum, method)
     slopes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    return _fit_design(design, slopes, f, clodum, method, "given")
+    return _fit_design(design, slopes, target, method, "given")
 
 
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
@@ -232,7 +241,8 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
             problem.inputs, problem.targets, problem.slopes.count, problem.slopes.seed
         )
         source = "kmeans"
-    return _fit_design(problem.inputs @ slopes.T, slopes, problem.targets, MAX_PLUS, method, source)
+    design = TropicalMatrix(problem.inputs @ slopes.T, MAX_PLUS)
+    return _fit_design(design, slopes, TropicalVector(problem.targets, MAX_PLUS), method, source)
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +268,39 @@ def _jenks_breaks(values: np.ndarray, k: int) -> np.ndarray:
     Minimizes the total within-cluster sum of squared deviations over
     contiguous partitions of the sorted values; ties pick the lower break
     index.  Returns the k cluster means in ascending order.
+
+    The DP does O(k n^2) work, vectorised over the split candidate and a block
+    of cluster ends; each temporary holds at most ``_JENKS_PAIRS`` candidate
+    pairs, so extra memory is O(k n) for the cost and split tables, never
+    O(n^2).
     """
     v = np.sort(values)
     n = len(v)
     s1 = np.concatenate([[0.0], np.cumsum(v)])
     s2 = np.concatenate([[0.0], np.cumsum(v**2)])
 
-    def sse(i: int, j: int) -> float:
+    def sse(i, j):
         cnt = j - i + 1
         s = s1[j + 1] - s1[i]
-        return max((s2[j + 1] - s2[i]) - s * s / cnt, 0.0)
+        return np.maximum((s2[j + 1] - s2[i]) - s * s / cnt, 0.0)
 
     cost = np.full((k + 1, n), _INF)
     split = np.zeros((k + 1, n), dtype=int)
-    for j in range(n):
-        cost[1, j] = sse(0, j)
-    for c in range(2, k + 1):
-        for j in range(c - 1, n):
-            best, arg = _INF, c - 1
-            for i in range(c - 1, j + 1):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        cost[1] = sse(0, np.arange(n))
+        for c in range(2, k + 1):
+            starts = np.arange(c - 1, n)[:, None]
+            width = max(1, _JENKS_PAIRS // len(starts))
+            for lo in range(c - 1, n, width):
+                j = np.arange(lo, min(lo + width, n))
+                i = starts[: j[-1] - c + 2]
                 val = cost[c - 1, i - 1] + sse(i, j)
-                if val < best:
-                    best, arg = val, i
-            cost[c, j] = best
-            split[c, j] = arg
+                # argmin keeps the first minimum, the lower-index tie rule;
+                # NaN (from infinite values) and i > j never win.
+                val[(i > j) | np.isnan(val)] = _INF
+                arg = np.argmin(val, axis=0)
+                cost[c, j] = val[arg, np.arange(len(j))]
+                split[c, j] = arg + c - 1
     bounds = [n - 1]
     for c in range(k, 1, -1):
         bounds.append(split[c, bounds[-1]] - 1)
@@ -350,6 +369,8 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     max(n+2, 8) nearest neighbours; rank-deficient neighbourhoods are skipped
     with a warning.  Clustering uses k-means++ initialization from ``seed``.
     """
+    from scipy.spatial import cKDTree  # heavy import, needed only here
+
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != len(f):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
 from .wlattice import DimensionMismatchError
@@ -313,6 +312,8 @@ def polytope_minkowski_sum(P: Polytope, Q: Polytope) -> Polytope:
 
 def _in_convex_hull(point: np.ndarray, others: np.ndarray, tol: float) -> bool:
     """Feasibility LP: is ``point`` a convex combination of ``others``?"""
+    from scipy.optimize import linprog  # heavy import, needed only here
+
     n_pts = len(others)
     A_eq = np.vstack([others.T, np.ones(n_pts)])
     b_eq = np.append(point, 1.0)

@@ -1,8 +1,8 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own algorithms: the hull oracle uses
-edge detection instead of the monotone chain, and the product oracles use
-naive loops instead of vectorized reductions.
+edge detection instead of the monotone chain, and the product and
+natural-breaks oracles use naive loops instead of vectorized reductions.
 """
 
 import numpy as np
@@ -75,3 +75,42 @@ def pin_allocator_thresholds():
         libc.mallopt(-1, 1 << 28)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError, TypeError):
         pass
+
+
+def jenks_breaks_dp(values, k):
+    """Exact natural breaks by the scalar O(k n^2) dynamic programme.
+
+    Minimizes the total within-cluster sum of squared deviations over
+    contiguous partitions of the sorted values; ties pick the lower break
+    index.  Returns the k cluster means in ascending order.
+    """
+    _INF = float("inf")
+    v = np.sort(values)
+    n = len(v)
+    s1 = np.concatenate([[0.0], np.cumsum(v)])
+    s2 = np.concatenate([[0.0], np.cumsum(v**2)])
+
+    def sse(i: int, j: int) -> float:
+        cnt = j - i + 1
+        s = s1[j + 1] - s1[i]
+        return max((s2[j + 1] - s2[i]) - s * s / cnt, 0.0)
+
+    cost = np.full((k + 1, n), _INF)
+    split = np.zeros((k + 1, n), dtype=int)
+    for j in range(n):
+        cost[1, j] = sse(0, j)
+    for c in range(2, k + 1):
+        for j in range(c - 1, n):
+            best, arg = _INF, c - 1
+            for i in range(c - 1, j + 1):
+                val = cost[c - 1, i - 1] + sse(i, j)
+                if val < best:
+                    best, arg = val, i
+            cost[c, j] = best
+            split[c, j] = arg
+    bounds = [n - 1]
+    for c in range(k, 1, -1):
+        bounds.append(split[c, bounds[-1]] - 1)
+    bounds.append(-1)
+    bounds = bounds[::-1]
+    return np.array([v[bounds[t] + 1:bounds[t + 1] + 1].mean() for t in range(k)])

@@ -1,5 +1,10 @@
 """Command-line interface: ingestion, subcommands, determinism, round-trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -399,3 +404,17 @@ def test_fit_half_circle_with_slope_file(tmp_path, capsys):
     out = capsys.readouterr().out
     linf = float([ln for ln in out.splitlines() if ln.startswith("linf_error:")][0].split()[1])
     assert linf == pytest.approx(0.12, abs=0.02)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize (polytope comparison in dimension >= 3) and scipy.spatial
+    # (n-D slope estimation) load on first use, not at start-up
+    import tropalg
+
+    src = str(Path(tropalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tropalg.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -148,6 +148,14 @@ def test_conjugate_examples():
     assert SOFT1.conjugate(1.5) == -1.5
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_maxtimes_conjugate_of_either_zero_is_top(zero):
+    # -0.0 lies in the max-times carrier, so its conjugate must too
+    assert MAX_TIMES.conjugate(zero) == INF
+    assert np.array_equal(MAX_TIMES.conjugate(np.array([zero, 4.0])), [INF, 0.25])
+    assert MAX_TIMES.conjugate(MAX_TIMES.conjugate(zero)) == 0.0
+
+
 def test_soft_add_examples():
     assert soft_add(1, 5, 5) == pytest.approx(5 + math.log(2), abs=1e-12)
     assert soft_add(0.01, 0, 10) == pytest.approx(10.0, abs=1e-9)

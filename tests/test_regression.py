@@ -1,15 +1,20 @@
 """Max-affine regression: closed forms, slope estimation, fit invariants."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import tropalg.regression
+from oracles import jenks_breaks_dp
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
     MAX_TIMES,
     AutoSlopes,
+    CarrierError,
+    Clodum,
     FitProblem,
     GivenSlopes,
     TropicalError,
@@ -205,6 +210,43 @@ def test_dead_design_column_does_not_leak_solver_warning():
     assert clean.warnings == ()
 
 
+@pytest.mark.parametrize("fit, dim", [(fit_line, 1), (fit_plane, 2)], ids=["line", "plane"])
+@pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES, MAX_MIN, max_softmin(0.5)], ids=str)
+def test_fits_validate_their_samples_once(fit, dim, clodum, monkeypatch):
+    seen = []
+    validate = Clodum.validate
+
+    def recording(self, values):
+        seen.append(np.array(values, dtype=float))
+        return validate(self, values)
+
+    monkeypatch.setattr(Clodum, "validate", recording)
+    rng = np.random.default_rng(43)
+    x = rng.uniform(0.1, 0.9, (40, dim))
+    f = rng.uniform(0.1, 0.9, 40)
+    fit(x[:, 0] if dim == 1 else x, f, clodum)
+
+    def scans(col):
+        # validated arrays holding ``col`` as a column
+        return sum(any(np.array_equal(c, col) for c in a.reshape(len(col), -1).T)
+                   for a in seen if a.ndim and a.shape[0] == len(col))
+
+    assert scans(f) == 1
+    assert [scans(x[:, d]) for d in range(dim)] == [1] * dim
+
+
+@pytest.mark.parametrize("clodum, x, err, match", [
+    (MAX_PLUS, [0.0, np.nan], CarrierError, "NaN is not an element of the max-plus carrier"),
+    (MAX_TIMES, [1.0, -0.5], CarrierError, "max-times carrier"),
+    (MAX_PLUS, [0.0, INF], TropicalError, "evaluation points must be finite"),
+], ids=["nan", "negative-max-times", "infinite"])
+def test_fit_sample_errors(clodum, x, err, match):
+    for fit, xs in ((fit_line, x), (fit_plane, np.column_stack([x, [1.0, 2.0]]))):
+        with pytest.raises(TropicalError, match=match) as info:
+            fit(xs, [1.0, 2.0], clodum)
+        assert type(info.value) is err
+
+
 # ---------------------------------------------------------------------------
 # slope estimation
 
@@ -254,6 +296,44 @@ def test_jenks_breaks_minimize_sse():
     dp_sse = sum(float(np.sum((vals[assign == c] - vals[assign == c].mean()) ** 2))
                  for c in range(k) if np.any(assign == c))
     assert dp_sse <= best_random + 1e-9
+
+
+def _jenks_inputs(rng):
+    for n in (1, 2, 3, 17, 60, 157):
+        yield rng.normal(size=n)
+        yield rng.integers(0, 4, size=n).astype(float)  # integer ties
+        yield np.full(n, rng.normal())  # every partition ties up to rounding
+        yield np.repeat(rng.normal(size=n), 5)[:n]  # repeated blocks
+        yield np.round(rng.normal(size=n), 1)
+    yield rng.normal(size=40) * 1e160  # squares overflow to inf
+    yield np.array([1.0, -INF, 2.0, INF, 2.0, 0.5, INF])
+
+
+@pytest.mark.parametrize("pairs", [1, 5, tropalg.regression._JENKS_PAIRS])
+def test_jenks_breaks_match_scalar_dp(pairs, monkeypatch):
+    # block sizes down to one end index per block give the same breaks
+    monkeypatch.setattr(tropalg.regression, "_JENKS_PAIRS", pairs)
+    rng = np.random.default_rng(71)
+    for vals in _jenks_inputs(rng):
+        n = len(vals)
+        ks = {1, 2, min(n, 6), n} if n <= 60 else {1, 2, 6}
+        for k in sorted(k for k in ks if k <= n):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # means of infinite clusters
+                got, expected = _jenks_breaks(vals, k), jenks_breaks_dp(vals, k)
+            assert np.array_equal(got, expected, equal_nan=True), (n, k)
+
+
+def test_jenks_breaks_memory_is_bounded():
+    # a single n x n float temporary at n = 2000 would take 32 MB
+    vals = np.random.default_rng(5).normal(size=2000)
+    tracemalloc.start()
+    try:
+        _jenks_breaks(vals, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_estimate_slopes_1d_errors():

@@ -273,6 +273,12 @@ def test_conj_transpose_examples():
         conj_transpose(TropicalMatrix([[0.5]], MAX_MIN))
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_conj_transpose_maxtimes_zero_entry(zero):
+    M = TropicalMatrix([[zero, 1.0]], MAX_TIMES)
+    assert np.array_equal(conj_transpose(M).values, [[INF], [1.0]])
+
+
 @pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES], ids=lambda c: c.spec_string())
 def test_clog_erosion_equals_conjugate_transpose_product(clodum):
     rng = np.random.default_rng(29)

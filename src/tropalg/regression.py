@@ -5,7 +5,8 @@ by clustering numerical derivatives (1-D uses natural-breaks clustering of
 finite differences, higher dimensions cluster local least-squares gradients
 with seeded k-means), and then the optimal intercepts come in closed form
 as the solution of the design system X (*) b = f, where column k of X is
-term k before its intercept.  Line, plane and max-affine fits all solve it
+term k before its intercept: X is built by the same routine that evaluates
+the fitted polynomial.  Line, plane and max-affine fits all solve it
 through the same GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the
 GLE fit touches the data from below and minimizes every l_p residual norm
 among from-below fits, while the MMAE fit (max-plus) shifts it up by half
@@ -22,7 +23,7 @@ import numpy as np
 
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
-from .tropgeom import TropicalPolynomial
+from .tropgeom import TropicalPolynomial, _term_design
 from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector
 
 __all__ = [
@@ -142,38 +143,28 @@ def _check_method(method: str, clodum: Clodum) -> None:
         )
 
 
-def _sample_system(
-    x: np.ndarray, f: np.ndarray, clodum: Clodum, method: str
-) -> tuple[TropicalMatrix, TropicalVector]:
-    """The design system [x, unit] (*) b = f of a line or plane fit.
+def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
+               method: str, source: str) -> FitReport:
+    """Optimal intercepts for max-affine terms with these slope rows.
 
-    Building the typed system is the one carrier check of the samples; the
-    finiteness checks follow it, so NaN and out-of-carrier values raise
-    :class:`CarrierError` first.
+    The design matrix is the model's own term table at the samples, so the
+    intercepts are the x_hat/x_tilde of the design system.  Building it is the
+    one carrier check of the samples; the finiteness checks follow, so NaN and
+    out-of-carrier values raise :class:`CarrierError` first.
     """
     _check_method(method, clodum)
-    design = TropicalMatrix(np.column_stack([x, np.full(len(f), clodum.unit)]), clodum)
+    design = TropicalMatrix(_term_design(x, slopes, clodum.unit), clodum)
     target = TropicalVector(f, clodum)
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")
     if not np.isfinite(x).all():
         raise TropicalError("evaluation points must be finite")
-    return design, target
-
-
-def _fit_design(design: TropicalMatrix, slopes, f: TropicalVector, method: str, source: str) -> FitReport:
-    """Solve the design system design (*) b = f for the intercepts b.
-
-    Column k of ``design`` is term k of the model before its intercept is
-    applied, so the GLE/MMAE intercepts are exactly the x_hat/x_tilde of the
-    system solver.
-    """
-    sol = _solve_checked(design, f, method)
+    sol = _solve_checked(design, target, method)
     if method == "mmae":
         intercepts, res = sol.x_tilde.values, sol.residual_mmae
     else:
         intercepts, res = sol.x_hat.values, sol.residual_gle
-    model = TropicalPolynomial(slopes, intercepts, design.clodum, "max")
+    model = TropicalPolynomial(slopes, intercepts, clodum, "max")
     inert = np.flatnonzero(model.inert_mask).tolist()
     return FitReport(
         model=model,
@@ -197,8 +188,7 @@ def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.shape != f.shape or len(x) < 1:
         raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
-    design, target = _sample_system(x, f, clodum, method)
-    return _fit_design(design, np.array([[1.0], [0.0]]), target, method, "given")
+    return _fit_terms(x[:, None], f, np.array([[1.0], [0.0]]), clodum, method, "given")
 
 
 def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
@@ -207,9 +197,8 @@ def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitRepor
     f = np.asarray(f, dtype=float).reshape(-1)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] != len(f) or len(f) < 1:
         raise DimensionMismatchError("xy must be (m, 2) with one target per sample")
-    design, target = _sample_system(xy, f, clodum, method)
     slopes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    return _fit_design(design, slopes, target, method, "given")
+    return _fit_terms(xy, f, slopes, clodum, method, "given")
 
 
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
@@ -241,8 +230,7 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
             problem.inputs, problem.targets, problem.slopes.count, problem.slopes.seed
         )
         source = "kmeans"
-    design = TropicalMatrix(problem.inputs @ slopes.T, MAX_PLUS)
-    return _fit_design(design, slopes, TropicalVector(problem.targets, MAX_PLUS), method, source)
+    return _fit_terms(problem.inputs, problem.targets, slopes, MAX_PLUS, method, source)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +247,16 @@ def _numerical_derivatives(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     keep = dx > 0  # duplicated abscissae carry no finite-difference information
     if not keep.any():
         raise TropicalError("all abscissae coincide; derivatives are undefined")
-    return np.diff(fs)[keep] / dx[keep]
+    with np.errstate(over="ignore"):
+        derivs = np.diff(fs)[keep] / dx[keep]
+    if not np.isfinite(derivs).all():
+        i = np.flatnonzero(keep)[np.argmax(~np.isfinite(derivs))]
+        a, b = sorted(order[i:i + 2].tolist())
+        raise TropicalError(
+            f"the finite-difference slope between samples {a} and {b} "
+            f"(x = {float(x[a])!r}, {float(x[b])!r}) overflows"
+        )
+    return derivs
 
 
 def _jenks_breaks(values: np.ndarray, k: int) -> np.ndarray:

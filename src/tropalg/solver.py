@@ -15,7 +15,7 @@ fit's intercepts are the solution of its design system.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,17 +138,11 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
             logA = TropicalMatrix(np.log(A.values), MAX_PLUS)
             logb = TropicalVector(np.log(b.values), MAX_PLUS)
         inner = solve(logA, logb, "mmae")
-        x_hat = TropicalVector(np.exp(inner.x_hat.values), clodum)
-        x_tilde = TropicalVector(np.exp(inner.x_tilde.values), clodum)
-        notes = ("max-times solved via the log isomorphism; mu and residuals are log-domain",)
-        return SolveResult(
-            x_hat=x_hat,
-            mu=inner.mu,
-            residual_gle=inner.residual_gle,
-            exact=inner.exact,
-            x_tilde=x_tilde,
-            residual_mmae=inner.residual_mmae,
-            notes=notes,
+        return replace(
+            inner,
+            x_hat=TropicalVector(np.exp(inner.x_hat.values), clodum),
+            x_tilde=TropicalVector(np.exp(inner.x_tilde.values), clodum),
+            notes=("max-times solved via the log isomorphism; mu and residuals are log-domain",),
         )
     if method == "mmae" and clodum != MAX_PLUS:
         raise UnsupportedClodumError(
@@ -175,10 +169,8 @@ def canonical_projection(A: TropicalMatrix, b: TropicalVector) -> TropicalVector
     An opening: increasing, idempotent and <= b.  Among elements of the span
     it attains the least Hilbert projective distance from b.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        x_hat = greatest_subsolution(A, b)
-    return matvec_dilate(A, x_hat)
+    _check_dims(A, b)
+    return matvec_dilate(A, matvec_erode(A, b))
 
 
 def hilbert_metric(x, y) -> float:

@@ -5,7 +5,9 @@ two or more terms tie for the extremum), Newton polytopes with their two
 algebra laws (join under pointwise max, Minkowski sum under pointwise
 addition), and tropical halfspaces.  Over non-plus cloda a polynomial is
 restricted to generalized lines and planes: constant terms and terms acting
-on a single coordinate through the clodum multiplication.
+on a single coordinate through the clodum multiplication.  The table of
+terms before their intercepts is also the design matrix of the regression
+fits; it is NaN-checked only, as intercepts and points are validated.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
+from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
 from .wlattice import DimensionMismatchError
 
 __all__ = [
@@ -73,13 +75,11 @@ class TropicalPolynomial:
             raise DimensionMismatchError("need exactly one intercept per term")
         if self.orientation not in ("max", "min"):
             raise TropicalError(f"orientation must be 'max' or 'min', got {self.orientation!r}")
-        if self.clodum != MAX_PLUS:
-            for row in slopes:
-                if not (_is_zero_row(row) or _one_hot_index(row) is not None):
-                    raise UnsupportedClodumError(
-                        "general slope vectors need max-plus; over other cloda each term "
-                        "must be constant or act on a single coordinate with slope 1"
-                    )
+        if self.clodum != MAX_PLUS and _selected_coordinates(slopes) is None:
+            raise UnsupportedClodumError(
+                "general slope vectors need max-plus; over other cloda each term "
+                "must be constant or act on a single coordinate with slope 1"
+            )
         slopes = slopes.copy()
         slopes.flags.writeable = False
         intercepts.flags.writeable = False
@@ -110,19 +110,16 @@ class TropicalPolynomial:
         return self.intercepts == self.clodum.top
 
     def _term_values(self, X: np.ndarray) -> np.ndarray:
-        """Per-term values at each row of X, shape (len(X), rank)."""
-        compose = self.clodum.mul if self.orientation == "max" else self.clodum.dual_mul
-        if self.clodum == MAX_PLUS:
-            return compose(self.intercepts[None, :], X @ self.slopes.T)
-        cols = []
-        for k in range(self.rank):
-            row = self.slopes[k]
-            if _is_zero_row(row):
-                cols.append(np.full(X.shape[0], self.intercepts[k]))
-            else:
-                j = _one_hot_index(row)
-                cols.append(np.asarray(compose(self.intercepts[k], X[:, j])))
-        return np.column_stack(cols)
+        """Per-term values at each row of X, shape (len(X), rank), after checking X."""
+        if not np.isfinite(X).all():
+            raise TropicalError("evaluation points must be finite")
+        if self.clodum != MAX_PLUS:
+            self.clodum.validate(X)
+        if self.orientation == "max":
+            design = _term_design(X, self.slopes, self.clodum.unit)
+            return self.clodum._mul(self.intercepts, design)
+        design = _term_design(X, self.slopes, self.clodum.dual_unit)
+        return self.clodum._dual_mul(self.intercepts, design)
 
     def evaluate(self, points):
         """Value at one point (shape (n,)) or a batch (shape (m, n))."""
@@ -133,10 +130,6 @@ class TropicalPolynomial:
             raise DimensionMismatchError(
                 f"polynomial has dimension {self.dimension}, got points of dimension {X.shape[1]}"
             )
-        if not np.isfinite(X).all():
-            raise TropicalError("evaluation points must be finite")
-        if self.clodum != MAX_PLUS:
-            self.clodum.validate(X)
         vals = self._term_values(X)
         out = vals.max(axis=1) if self.orientation == "max" else vals.min(axis=1)
         return float(out[0]) if single else out
@@ -144,15 +137,31 @@ class TropicalPolynomial:
     __call__ = evaluate
 
 
-def _is_zero_row(row: np.ndarray) -> bool:
-    return bool(np.all(row == 0.0))
+def _selected_coordinates(slopes: np.ndarray) -> np.ndarray | None:
+    """Per slope row, its one-hot coordinate or n for a zero row; None if a row is neither."""
+    hot = slopes == 1.0
+    if not (((slopes == 0.0) | hot).all() and (hot.sum(axis=1) <= 1).all()):
+        return None
+    return np.where(hot.any(axis=1), hot.argmax(axis=1), slopes.shape[1])
 
 
-def _one_hot_index(row: np.ndarray) -> int | None:
-    nz = np.flatnonzero(row)
-    if len(nz) == 1 and row[nz[0]] == 1.0:
-        return int(nz[0])
-    return None
+def _term_design(X: np.ndarray, slopes: np.ndarray, fill: float) -> np.ndarray:
+    """Column k is term k at each row of X before its intercept: a term table or a fit's design.
+
+    A zero slope row gives ``fill`` and a one-hot row copies its coordinate of X
+    as is, so infinite coordinates stay intact.  Other slopes (max-plus only) give
+    ``X @ slopes.T``, checked for NaN (overflowed inf - inf) instead of the carrier.
+    """
+    pick = _selected_coordinates(slopes)
+    if pick is not None:
+        # take keeps C order, like a stacked [x, unit]: the layout orders the
+        # solver's reductions, and so which of two tied signed zeros they keep
+        return np.take(np.column_stack([X, np.full(len(X), fill)]), pick, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = X @ slopes.T
+    if np.isnan(design).any():
+        raise CarrierError("NaN is not an element of the max-plus carrier")
+    return design
 
 
 def argmax_terms(p: TropicalPolynomial, x, tol: float = DEFAULT_VARIETY_TOL) -> set[int]:

@@ -1,7 +1,7 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own algorithms: the hull oracle uses
-edge detection instead of the monotone chain, and the product and
+edge detection instead of the monotone chain, and the product, term-table and
 natural-breaks oracles use naive loops instead of vectorized reductions.
 """
 
@@ -114,3 +114,28 @@ def jenks_breaks_dp(values, k):
     bounds.append(-1)
     bounds = bounds[::-1]
     return np.array([v[bounds[t] + 1:bounds[t + 1] + 1].mean() for t in range(k)])
+
+
+def term_values_per_term(p, X):
+    """Term table of a tropical polynomial at the rows of X, one term at a time.
+
+    Max-plus composes the intercepts with ``X @ slopes.T``; other cloda build
+    each column from its slope row (the intercept itself for a zero row, the
+    intercept composed with the selected coordinate for a one-hot row).  Every
+    composition goes through the checked public ``Clodum`` op.
+    """
+    from tropalg import MAX_PLUS
+
+    compose = p.clodum.mul if p.orientation == "max" else p.clodum.dual_mul
+    if p.clodum == MAX_PLUS:
+        return compose(p.intercepts[None, :], X @ p.slopes.T)
+    cols = []
+    for k in range(p.rank):
+        row = p.slopes[k]
+        if np.all(row == 0.0):
+            cols.append(np.full(X.shape[0], p.intercepts[k]))
+        else:
+            nz = np.flatnonzero(row)
+            assert len(nz) == 1 and row[nz[0]] == 1.0
+            cols.append(np.asarray(compose(p.intercepts[k], X[:, nz[0]])))
+    return np.column_stack(cols)

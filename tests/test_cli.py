@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,7 @@ def _one_line_usage_error(rc, capsys):
     assert rc == 2
     assert err.startswith("tropalg: error:")
     assert err.count("\n") == 1
+    return err
 
 
 def test_fit_non_numeric_slope_file_is_usage_error(line_csv, tmp_path, capsys):
@@ -203,6 +205,15 @@ def test_fit_negative_grid_rejected_before_output(line_csv, tmp_path, capsys):
 def test_fit_non_numeric_theta_is_usage_error(line_csv, tmp_path, capsys):
     rc = main(["fit", str(line_csv), "--clodum", "max-softmin:θ=abc", "--out", str(tmp_path / "t")])
     _one_line_usage_error(rc, capsys)
+
+
+def test_fit_overflowing_derivative_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "ov.csv"
+    data.write_text("x,y\n0,0\n1e-300,1e10\n1,1\n2,3\n3,6\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", str(data), "--slopes", "auto:2", "--out", str(tmp_path / "ov")])
+    assert "samples 0 and 1" in _one_line_usage_error(rc, capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,18 @@ def test_estimate_slopes_1d_errors():
         estimate_slopes_1d([1.0, 1.0, 1.0], [0.0, 1.0, 2.0], 1)  # no usable gaps
 
 
+def test_overflowing_derivative_names_its_samples():
+    # abscissae a subnormal-scale gap apart: the finite difference is +inf
+    x = np.array([1.0, 0.0, 2.0, 1e-300, 3.0])
+    f = np.array([1.0, 0.0, 3.0, 1e10, 6.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TropicalError, match=r"between samples 1 and 3 \(x = 0\.0, 1e-300\) overflows"):
+            estimate_slopes_1d(x, f, 2)
+        with pytest.raises(TropicalError, match="between samples 1 and 3"):
+            fit_max_affine(FitProblem(x, f, AutoSlopes(2)))
+
+
 def test_estimate_slopes_nd_single_plane():
     rng = np.random.default_rng(17)
     x = rng.uniform(-2, 2, (60, 2))

@@ -245,6 +245,11 @@ def test_projection_reference_example():
     proj = canonical_projection(A, b)
     assert np.array_equal(proj.values, [-1.0, -1.0, 0.0])
     assert np.all(proj.values <= b.values)
+    # a dead (all-bottom) column adds nothing to the span and no warning
+    dead = _mat([[0, -INF, -INF], [-INF, 0, -INF], [1, 1, -INF]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(canonical_projection(dead, b).values, proj.values)
 
 
 def test_projection_idempotent_random():

@@ -6,6 +6,9 @@ import pytest
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
+    MAX_TIMES,
+    CarrierError,
+    Clodum,
     DimensionMismatchError,
     Polytope,
     TropicalError,
@@ -27,7 +30,7 @@ from tropalg import (
 
 INF = float("inf")
 
-from oracles import brute_hull_2d  # noqa: E402
+from oracles import brute_hull_2d, term_values_per_term  # noqa: E402
 
 
 def random_polynomial(rng, max_terms=6):
@@ -109,6 +112,78 @@ def test_min_orientation_eval():
     q = TropicalPolynomial.from_terms([([1.0], 1.0), ([0.0], 2.0), ([3.0], INF)], orientation="min")
     for x in (-4.0, 0.0, 4.0):
         assert q.evaluate([x]) == p.evaluate([x])
+
+
+def _carrier_values(clodum, rng, shape, finite=False):
+    """Random carrier values with bottom, top (unless ``finite``) and signed zeros mixed in."""
+    if clodum.kind == "max-min":
+        vals = rng.uniform(0, 1, shape)
+    elif clodum.kind == "max-times":
+        vals = rng.uniform(0, 4, shape)
+    else:
+        vals = rng.normal(0, 3, shape)
+    special = [v for v in (clodum.bottom, clodum.top, 0.0, -0.0) if not finite or np.isfinite(v)]
+    mask = rng.random(shape) < 0.3
+    vals[mask] = rng.choice(special, int(mask.sum()))
+    return vals
+
+
+@pytest.mark.parametrize("orientation", ["max", "min"])
+@pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES, MAX_MIN, max_softmin(0.5)], ids=str)
+def test_term_values_match_per_term_oracle(clodum, orientation):
+    rng = np.random.default_rng(61)
+    for trial in range(60):
+        n, k, m = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 20))
+        pick = rng.integers(0, n + 1, k)  # coordinate of a one-hot row, n for a zero row
+        slopes = np.zeros((k, n + 1))
+        slopes[np.arange(k), pick] = 1.0
+        slopes = slopes[:, :n]
+        if clodum == MAX_PLUS and trial % 2:
+            general = rng.random(k) < 0.5
+            slopes[general] = rng.integers(-3, 4, (int(general.sum()), n))
+        p = TropicalPolynomial(slopes, _carrier_values(clodum, rng, k), clodum, orientation)
+        X = _carrier_values(clodum, rng, (m, n), finite=True)  # evaluation points are finite
+        assert np.array_equal(p._term_values(X), term_values_per_term(p, X))
+
+
+def test_maxplus_evaluation_validates_no_term_table(monkeypatch):
+    # the intercepts were validated when the polynomial was built and the
+    # points are checked for finiteness; the m x K term table needs no
+    # carrier check and no checked clodum op
+    rng = np.random.default_rng(67)
+    m, k = 500, 8
+    polys = [TropicalPolynomial(rng.normal(0, 2, (k, 3)), rng.normal(0, 2, k), MAX_PLUS, o)
+             for o in ("max", "min")]
+    polys.append(TropicalPolynomial(np.vstack([np.eye(3), np.eye(3), np.zeros((2, 3))]),
+                                    rng.normal(0, 2, k)))
+    seen = []
+    validate = Clodum.validate
+
+    def recording(self, values):
+        seen.append(np.size(values))
+        return validate(self, values)
+
+    def refuse(self, *args):
+        pytest.fail("evaluation called a checked Clodum op")
+
+    monkeypatch.setattr(Clodum, "validate", recording)
+    for name in ("mul", "dual_mul", "adjoint_erosion", "conjugate"):
+        monkeypatch.setattr(Clodum, name, refuse)
+    X = rng.normal(0, 3, (m, 3))
+    for p in polys:
+        assert p.evaluate(X).shape == (m,)
+    assert all(size < m for size in seen)
+
+
+@pytest.mark.parametrize("clodum, slopes, point, err, match", [
+    (MAX_PLUS, [[1.0], [2.0]], [INF], TropicalError, "evaluation points must be finite"),
+    (MAX_PLUS, [[1.0], [0.0]], [float("nan")], TropicalError, "evaluation points must be finite"),
+    (MAX_MIN, [[1.0, 0.0], [0.0, 0.0]], [0.5, 1.5], CarrierError, "max-min carrier"),
+], ids=["inf", "nan", "unused-coordinate-off-carrier"])
+def test_argmax_terms_checks_its_point(clodum, slopes, point, err, match):
+    p = TropicalPolynomial(np.array(slopes), np.full(len(slopes), 0.5), clodum)
+    with pytest.raises(err, match=match):
+        argmax_terms(p, point)
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,16 @@ def _ret(out: np.ndarray):
 
 
 def _resolved(op, fill: float):
-    """Kernel applying ``op`` and sending its NaN results (inf - inf, 0 * inf) to ``fill``."""
+    """Kernel applying ``op`` and sending its NaN results (inf - inf, 0 * inf) to ``fill``.
+
+    The fill is written in place into the fresh result of ``op``, so a kernel
+    call allocates one output-sized array, not two.
+    """
     def kernel(theta, a, b):
         with np.errstate(invalid="ignore", over="ignore"):
-            out = op(a, b)
-        return np.where(np.isnan(out), fill, out)
+            out = np.asarray(op(a, b))
+        np.copyto(out, fill, where=np.isnan(out))
+        return out
     return kernel
 
 

@@ -2,9 +2,17 @@
 
 Vectors, matrices and 1-D signals over a clodum, with the sup-mul (dilation)
 and inf-dual-mul (erosion) products, the conjugate transpose for clogs, and
-translation-invariant signal convolutions.  Storage is dense; reductions over
-an empty index set follow lattice completeness conventions (sup of nothing is
-bottom, inf of nothing is top).
+translation-invariant signal convolutions.  Storage is dense and C-ordered;
+reductions over an empty index set follow lattice completeness conventions
+(sup of nothing is bottom, inf of nothing is top).
+
+Memory and loop bounds: a matrix product reduces row slabs of its left operand
+against the whole right operand, so no temporary holds more than
+``max(_SLAB_ELEMS, k*n)`` elements (k*n is the size of the right operand); it
+never builds the m*k*n tensor.  A signal convolution loops in Python over the
+shorter of its two supports and treats the longer one as a single vector op.
+Each output entry meets its operands in the same order whatever the slab or
+loop axis, so results are reproducible to the bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -32,6 +40,9 @@ __all__ = [
 
 _INF = float("inf")
 
+# Element budget of one matrix-product slab: (rows of A) * k * n.
+_SLAB_ELEMS = 65536
+
 
 class DimensionMismatchError(TropicalError):
     """Operand shapes are incompatible."""
@@ -42,7 +53,9 @@ class ClodumMismatchError(TropicalError):
 
 
 def _freeze(obj, attr: str, values, clodum: Clodum, ndim: int) -> None:
-    arr = np.array(clodum.validate(values), dtype=float, copy=True)
+    # C order whatever the caller's layout: the products' reductions then see
+    # the same memory order, and keep the same one of two tied signed zeros.
+    arr = np.array(clodum.validate(values), dtype=float, copy=True, order="C")
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{type(obj).__name__} expects {ndim}-d data, got {arr.ndim}-d")
     arr.flags.writeable = False
@@ -51,7 +64,7 @@ def _freeze(obj, attr: str, values, clodum: Clodum, ndim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TropicalVector:
-    """A dense vector with entries in the carrier of ``clodum``."""
+    """A dense vector with entries in the carrier of ``clodum``, stored as a read-only copy."""
 
     values: np.ndarray
     clodum: Clodum
@@ -72,7 +85,7 @@ class TropicalVector:
 
 @dataclass(frozen=True, eq=False)
 class TropicalMatrix:
-    """A dense matrix with entries in the carrier of ``clodum``."""
+    """A dense matrix with entries in the carrier of ``clodum``, stored as a read-only C-ordered copy."""
 
     values: np.ndarray
     clodum: Clodum
@@ -133,30 +146,47 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
     return TropicalVector(np.min(er, axis=0), clodum)
 
 
-def matmul_dilate(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
-    """Sup-mul matrix product: c_ij = sup_k mul(a_ik, b_kj).  Associative."""
+def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:
+    """Sup-mul product, or with ``dual`` inf-dual-mul, one slab of rows of A at a time.
+
+    A slab holds as many rows as fit ``_SLAB_ELEMS`` elements of the
+    (rows, k, n) product, and at least one.  Each output row is reduced from
+    the same (k, n) block it would be in the full m*k*n tensor, so the slab
+    height cannot change a bit of the result.
+    """
     clodum = _same_clodum(A, B)
     m, k = A.shape
     k2, n = B.shape
     if k != k2:
         raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
+    kernel, reduce, empty = ((clodum._dual_mul, np.min, clodum.top) if dual
+                             else (clodum._mul, np.max, clodum.bottom))
     if k == 0:
-        return TropicalMatrix(np.full((m, n), clodum.bottom), clodum)
-    prod = clodum._mul(A.values[:, :, None], B.values[None, :, :])
-    return TropicalMatrix(np.max(prod, axis=1), clodum)
+        return TropicalMatrix(np.full((m, n), empty), clodum)
+    out = np.empty((m, n))
+    rows = max(1, _SLAB_ELEMS // max(k * n, 1))
+    b = B.values[None, :, :]
+    for r in range(0, m, rows):
+        slab = kernel(A.values[r:r + rows, :, None], b)
+        reduce(slab, axis=1, out=out[r:r + rows])
+    return TropicalMatrix(out, clodum)
+
+
+def matmul_dilate(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
+    """Sup-mul matrix product: c_ij = sup_k mul(a_ik, b_kj).  Associative.
+
+    Runs in row slabs: extra memory is bounded by ``max(_SLAB_ELEMS, k*n)``
+    elements, never m*k*n.
+    """
+    return _matmul(A, B, dual=False)
 
 
 def matmul_erode(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
-    """Inf-dual-mul matrix product: d_ij = inf_k dual_mul(a_ik, b_kj)."""
-    clodum = _same_clodum(A, B)
-    m, k = A.shape
-    k2, n = B.shape
-    if k != k2:
-        raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
-    if k == 0:
-        return TropicalMatrix(np.full((m, n), clodum.top), clodum)
-    prod = clodum._dual_mul(A.values[:, :, None], B.values[None, :, :])
-    return TropicalMatrix(np.min(prod, axis=1), clodum)
+    """Inf-dual-mul matrix product: d_ij = inf_k dual_mul(a_ik, b_kj).
+
+    Same row-slab memory bound as :func:`matmul_dilate`.
+    """
+    return _matmul(A, B, dual=True)
 
 
 def conj_transpose(A: TropicalMatrix) -> TropicalMatrix:
@@ -214,13 +244,22 @@ def signal_dilate(f: Signal1D, h: Signal1D) -> Signal1D:
     """Sup-mul convolution (f (+) h)(x) = sup_y mul(f(y), h(x - y)).
 
     Commutative; the output support is the set sum of the input supports.
+    Loops over the shorter support: min(len(f), len(h)) kernel calls, each a
+    vector op over the longer one.  Either way every output sample takes its
+    running sup over the samples of ``f`` in increasing order.
     """
     clodum = _same_clodum(f, h)
     nf, nh = len(f), len(h)
     out = np.full(nf + nh - 1, clodum.bottom)
-    for i in range(nf):
-        seg = out[i:i + nh]
-        np.maximum(seg, clodum._mul(f.values[i], h.values), out=seg)
+    if nf <= nh:
+        for i in range(nf):
+            seg = out[i:i + nh]
+            np.maximum(seg, clodum._mul(f.values[i], h.values), out=seg)
+    else:
+        # taps in reverse: output x = i + t then meets f_i in increasing i
+        for t in range(nh - 1, -1, -1):
+            seg = out[t:t + nf]
+            np.maximum(seg, clodum._mul(f.values, h.values[t]), out=seg)
     return Signal1D(out, f.origin + h.origin, clodum)
 
 
@@ -228,13 +267,21 @@ def signal_erode(g: Signal1D, h: Signal1D) -> Signal1D:
     """Adjoint erosion of dilation by ``h``: inf_x adjoint_erosion(h(x - y), g(x)).
 
     ``(signal_dilate(., h), signal_erode(., h))`` is an adjunction on
-    bottom/top-padded signals.
+    bottom/top-padded signals.  Loops over the shorter support, like
+    :func:`signal_dilate`; every output sample takes its running inf over the
+    samples of ``g`` in increasing order.
     """
     clodum = _same_clodum(g, h)
     ng, nh = len(g), len(h)
     out = np.full(ng + nh - 1, clodum.top)
     rev = h.values[::-1]
-    for j in range(ng):
-        seg = out[j:j + nh]
-        np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
+    if ng <= nh:
+        for j in range(ng):
+            seg = out[j:j + nh]
+            np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
+    else:
+        # taps in reverse: output y = j + t then meets g_j in increasing j
+        for t in range(nh - 1, -1, -1):
+            seg = out[t:t + ng]
+            np.minimum(seg, clodum._adjoint_erosion(rev[t], g.values), out=seg)
     return Signal1D(out, g.origin - h.origin - (nh - 1), clodum)

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, and the product, term-table and
-natural-breaks oracles use naive loops instead of vectorized reductions.
+natural-breaks oracles use naive loops instead of vectorized reductions.  The
+tensor matrix product and the per-sample signal loops are the library's former
+implementations, kept to pin the bytes of their bounded-memory replacements.
 """
 
 import numpy as np
@@ -139,3 +141,41 @@ def term_values_per_term(p, X):
             assert len(nz) == 1 and row[nz[0]] == 1.0
             cols.append(np.asarray(compose(p.intercepts[k], X[:, nz[0]])))
     return np.column_stack(cols)
+
+
+def matmul_tensor(A, B, dual=False):
+    """Weighted-lattice matrix product through the whole m*k*n tensor.
+
+    ``A`` and ``B`` are typed matrices over one clodum; the sup of ``mul``, or
+    with ``dual`` the inf of ``dual_mul``, is taken over axis 1 of the
+    broadcast product.
+    """
+    clodum = A.clodum
+    (m, k), n = A.shape, B.shape[1]
+    if k == 0:
+        return np.full((m, n), clodum.top if dual else clodum.bottom)
+    kernel, reduce = (clodum._dual_mul, np.min) if dual else (clodum._mul, np.max)
+    return reduce(kernel(A.values[:, :, None], B.values[None, :, :]), axis=1)
+
+
+def signal_dilate_per_sample(f, h):
+    """Sup-mul convolution with one vector op per sample of ``f``; (values, origin)."""
+    clodum = f.clodum
+    nf, nh = len(f), len(h)
+    out = np.full(nf + nh - 1, clodum.bottom)
+    for i in range(nf):
+        seg = out[i:i + nh]
+        np.maximum(seg, clodum._mul(f.values[i], h.values), out=seg)
+    return out, f.origin + h.origin
+
+
+def signal_erode_per_sample(g, h):
+    """Adjoint erosion with one vector op per sample of ``g``; (values, origin)."""
+    clodum = g.clodum
+    ng, nh = len(g), len(h)
+    out = np.full(ng + nh - 1, clodum.top)
+    rev = h.values[::-1]
+    for j in range(ng):
+        seg = out[j:j + nh]
+        np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
+    return out, g.origin - h.origin - (nh - 1)

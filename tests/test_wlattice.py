@@ -1,8 +1,13 @@
 """Vector/matrix/signal operations: examples, oracles and adjunction laws."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import tropalg.wlattice
+from oracles import matmul_tensor, signal_dilate_per_sample, signal_erode_per_sample
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -22,6 +27,7 @@ from tropalg import (
     max_softmin,
     signal_dilate,
     signal_erode,
+    solve,
 )
 
 INF = float("inf")
@@ -352,11 +358,11 @@ def test_signal_ops_match_oracles(clodum):
         out = signal_dilate(f, h)
         ref, lo = _signal_dilate_oracle(f, h)
         assert out.origin == lo
-        np.testing.assert_allclose(out.values, ref, atol=1e-12)
+        assert np.array_equal(out.values, ref)
         out_e = signal_erode(f, h)
         ref_e, lo_e = _signal_erode_oracle(f, h)
         assert out_e.origin == lo_e
-        np.testing.assert_allclose(out_e.values, ref_e, atol=1e-12)
+        assert np.array_equal(out_e.values, ref_e)
 
 
 def test_signal_dilate_commutative():
@@ -446,3 +452,111 @@ def test_products_validate_once_per_typed_object(clodum, monkeypatch):
         x = TropicalVector(_random_values(clodum, rng, k), clodum)
         counts.append((count(matvec_dilate, A, x), count(matmul_dilate, A, B)))
     assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
+# bounded-memory products: byte identity with the former implementations
+
+
+def _lattice_values(clodum, rng, shape):
+    """Random carrier values with signed zeros, bottom and top sprinkled in."""
+    vals = _random_values(clodum, rng, shape)
+    zeros = rng.random(shape) < 0.2
+    vals[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    ends = rng.random(shape) < 0.2
+    vals[ends] = np.where(rng.random(ends.sum()) < 0.5, clodum.bottom, clodum.top)
+    return vals
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_matmul_matches_tensor_oracle_bytes(clodum):
+    # row slabs must reproduce the m*k*n tensor reduction to the bit, the
+    # sign of zero included; the last shapes exceed the slab budget per row
+    rng = np.random.default_rng(53)
+    budget = tropalg.wlattice._SLAB_ELEMS
+    shapes = [tuple(int(v) for v in rng.integers(0, 7, 3)) for _ in range(40)]
+    shapes += [(0, 3, 4), (3, 4, 0), (0, 0, 0), (5, 0, 2), (3, 300, 300), (4, budget + 1, 1)]
+    for m, k, n in shapes:
+        A = TropicalMatrix(_lattice_values(clodum, rng, (m, k)), clodum)
+        B = TropicalMatrix(_lattice_values(clodum, rng, (k, n)), clodum)
+        for op, dual in ((matmul_dilate, False), (matmul_erode, True)):
+            out = op(A, B).values
+            ref = matmul_tensor(A, B, dual)
+            assert out.shape == ref.shape == (m, n)
+            assert out.tobytes() == ref.tobytes(), (m, k, n, op.__name__)
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_signal_ops_match_per_sample_oracle_bytes(clodum):
+    # the tap loop (signal longer than kernel) and the sample loop (signal
+    # shorter) both reproduce the former per-sample loop to the bit
+    rng = np.random.default_rng(59)
+    for nf, nh in [(1, 1), (1, 9), (9, 1), (3, 17), (17, 3), (40, 7), (7, 40), (12, 12)]:
+        for _ in range(5):
+            f = Signal1D(_lattice_values(clodum, rng, nf), int(rng.integers(-4, 5)), clodum)
+            h = Signal1D(_lattice_values(clodum, rng, nh), int(rng.integers(-4, 5)), clodum)
+            for op, oracle in ((signal_dilate, signal_dilate_per_sample),
+                               (signal_erode, signal_erode_per_sample)):
+                out = op(f, h)
+                ref, origin = oracle(f, h)
+                assert out.origin == origin
+                assert out.values.tobytes() == ref.tobytes(), (nf, nh, op.__name__)
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_layout_of_input_does_not_change_results(clodum):
+    # typed values are stored C-ordered, so an F-ordered copy of the same
+    # data gives the same bytes, signed zeros included
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        m, n = int(rng.integers(20, 60)), int(rng.integers(2, 5))
+        vals = _lattice_values(clodum, rng, (m, n))
+        A_c = TropicalMatrix(np.ascontiguousarray(vals), clodum)
+        A_f = TropicalMatrix(np.asfortranarray(vals), clodum)
+        assert A_c.values.flags.c_contiguous and A_f.values.flags.c_contiguous
+        b = TropicalVector(_lattice_values(clodum, rng, m), clodum)
+        B = TropicalMatrix(_lattice_values(clodum, rng, (n, m)), clodum)
+        assert matvec_erode(A_c, b).values.tobytes() == matvec_erode(A_f, b).values.tobytes()
+        for op in (matmul_dilate, matmul_erode):
+            assert op(A_c, B).values.tobytes() == op(A_f, B).values.tobytes()
+            assert op(B, A_c).values.tobytes() == op(B, A_f).values.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            x_c, x_f = solve(A_c, b).x_hat, solve(A_f, b).x_hat
+        assert x_c.values.tobytes() == x_f.values.tobytes()
+
+
+@pytest.mark.parametrize("op", [matmul_dilate, matmul_erode], ids=lambda f: f.__name__)
+def test_matmul_memory_is_bounded(op):
+    # the m*k*n tensor at 200^3 alone would take 64 MB
+    rng = np.random.default_rng(67)
+    A = TropicalMatrix(rng.normal(size=(200, 200)), MAX_PLUS)
+    B = TropicalMatrix(rng.normal(size=(200, 200)), MAX_PLUS)
+    tracemalloc.start()
+    try:
+        op(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("op, kernel", [(signal_dilate, "_mul"), (signal_erode, "_adjoint_erosion")],
+                         ids=["dilate", "erode"])
+def test_signal_ops_loop_over_the_shorter_support(op, kernel, monkeypatch):
+    calls = []
+    original = getattr(Clodum, kernel)
+
+    def counting(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(Clodum, kernel, counting)
+    rng = np.random.default_rng(71)
+    f = Signal1D(rng.normal(size=3000), 0, MAX_PLUS)
+    h = Signal1D(rng.normal(size=31), -15, MAX_PLUS)
+    op(f, h)
+    assert len(calls) == 31
+    calls.clear()
+    op(h, f)
+    assert len(calls) == 31

@@ -81,31 +81,62 @@ def _parse_cell(token: str, path: str, lineno: int) -> float:
     return value
 
 
+def _cell_array(rows: list[list[str]], lines: list[int], path: str) -> np.ndarray:
+    """Rectangular rows of cell text as one float array.
+
+    ``np.array(..., dtype=float)`` converts each cell with ``float()``; only
+    when that fails, or a cell is NaN, are the cells parsed one by one, in
+    file order, to raise the error of the first bad cell.
+    """
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or np.isnan(values).any():
+        for cells, lineno in zip(rows, lines):
+            for cell in cells:
+                _parse_cell(cell, path, lineno)
+    return values
+
+
 def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Dataset:
     """Read a numeric CSV dataset; the last column is the target by default.
 
     Cells must parse as finite reals or ``inf``/``-inf`` literals; ragged or
-    malformed rows are reported with their line number.
+    malformed rows are reported with their line number.  When a file has
+    several defects, the first in file order is reported.
     """
     path = str(path)
-    rows: list[list[float]] = []
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    ragged = None
     columns: list[str] | None = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in record]
-            if not cells or all(c == "" for c in cells):
-                continue
-            if columns is None and has_header:
-                columns = cells
-                continue
-            values = [_parse_cell(c, path, lineno) for c in cells]
-            if rows and len(values) != len(rows[0]):
-                raise TropicalError(
-                    f"{path}:{lineno}: ragged row has {len(values)} cells, expected {len(rows[0])}"
-                )
-            rows.append(values)
+        try:
+            for lineno, record in enumerate(csv.reader(fh), start=1):
+                cells = [c.strip() for c in record]
+                if not cells or all(c == "" for c in cells):
+                    continue
+                if columns is None and has_header:
+                    columns = cells
+                    continue
+                if rows and len(cells) != len(rows[0]):
+                    ragged = lineno, cells
+                    break
+                rows.append(cells)
+                lines.append(lineno)
+        except (csv.Error, UnicodeDecodeError):
+            _cell_array(rows, lines, path)  # a bad cell above the unreadable line comes first
+            raise
     if not rows:
         raise TropicalError(f"{path}: no data rows")
+    values = _cell_array(rows, lines, path)
+    if ragged is not None:
+        lineno, cells = ragged
+        _cell_array([cells], [lineno], path)
+        raise TropicalError(
+            f"{path}:{lineno}: ragged row has {len(cells)} cells, expected {len(rows[0])}"
+        )
     width = len(rows[0])
     if columns is None:
         columns = [f"col{i + 1}" for i in range(width)]
@@ -119,7 +150,7 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
         if target not in columns:
             raise TropicalError(f"{path}: no column named {target!r} (have {columns})")
         target_index = columns.index(target)
-    return Dataset(columns, np.array(rows), target_index, path)
+    return Dataset(columns, values, target_index, path)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +163,12 @@ def _fmt(value) -> str:
     if isinstance(value, np.ndarray):
         return " ".join(repr(float(v)) for v in value)
     return str(value)
+
+
+def _table_text(*columns) -> str:
+    """Numeric table text: one line per row, the ``repr`` of each float, space-separated."""
+    rows = np.column_stack(columns).tolist()
+    return "\n".join(" ".join(map(repr, row)) for row in rows) + "\n"
 
 
 def _report_lines(title: str, pairs) -> str:
@@ -195,33 +232,21 @@ def _fit_once(data: Dataset, clodum: Clodum, method: str, slope_arg, seed: int) 
 def _model_grid(report: FitReport, data: Dataset, grid: int) -> str:
     x = data.features
     n = x.shape[1]
-    lines = []
     if n == 1:
         gx = np.linspace(x.min(), x.max(), grid)
-        vals = report.model.evaluate(gx[:, None])
-        for a, v in zip(gx, vals):
-            lines.append(f"{float(a)!r} {float(v)!r}")
-    elif n == 2:
+        return _table_text(gx, report.model.evaluate(gx[:, None]))
+    if n == 2:
         gx = np.linspace(x[:, 0].min(), x[:, 0].max(), grid)
         gy = np.linspace(x[:, 1].min(), x[:, 1].max(), grid)
         xx, yy = np.meshgrid(gx, gy, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = report.model.evaluate(pts)
-        for (a, b), v in zip(pts, vals):
-            lines.append(f"{float(a)!r} {float(b)!r} {float(v)!r}")
-    else:
-        lines.append(f"# grid emission supports 1 or 2 features; dataset has {n}")
-    return "\n".join(lines) + "\n"
+        return _table_text(pts, report.model.evaluate(pts))
+    return f"# grid emission supports 1 or 2 features; dataset has {n}\n"
 
 
 def _residual_table(report: FitReport, data: Dataset) -> str:
-    x, f = data.features, data.target
-    pred = f - report.residuals
-    lines = []
-    for i in range(data.num_samples):
-        coords = " ".join(repr(float(v)) for v in x[i])
-        lines.append(f"{coords} {float(f[i])!r} {float(pred[i])!r} {float(report.residuals[i])!r}")
-    return "\n".join(lines) + "\n"
+    f = data.target
+    return _table_text(data.features, f, f - report.residuals, report.residuals)
 
 
 def run_fit(args) -> int:
@@ -327,12 +352,7 @@ def run_eval(args) -> int:
             raise TropicalError(
                 f"polynomial has dimension {poly.dimension} but dataset provides {pts.shape[1]} features"
             )
-    vals = np.atleast_1d(poly.evaluate(pts))
-    lines = []
-    for row, v in zip(pts, vals):
-        coords = " ".join(repr(float(c)) for c in row)
-        lines.append(f"{coords} {float(v)!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_table_text(pts, np.atleast_1d(poly.evaluate(pts))), args.out)
     return 0
 
 

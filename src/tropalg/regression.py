@@ -324,31 +324,61 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     return _jenks_breaks(derivs, count)
 
 
+def _sq_dist(cols: np.ndarray, centers: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to every center, written into ``out`` (m, k).
+
+    ``cols`` holds the points one coordinate per row.  The coordinates are
+    summed in order, (p_0 - c_0)^2 + (p_1 - c_1)^2 + ..., using ``tmp`` (m, k)
+    as scratch, so the only memory is the two buffers the caller passes.
+    """
+    np.subtract(cols[0][:, None], centers[:, 0], out=out)
+    np.square(out, out=out)
+    for j in range(1, len(cols)):
+        np.subtract(cols[j][:, None], centers[:, j], out=tmp)
+        np.square(tmp, out=tmp)
+        out += tmp
+    return out
+
+
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ with Lloyd iterations; empty clusters re-seed from
-    the point currently farthest from its assigned center."""
-    n = len(points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    """Seeded k-means++ with Lloyd iterations; empty clusters re-seed, in
+    ascending cluster order, from the point currently farthest from its
+    assigned center.
+
+    Memory is two m*k buffers, filled in place every iteration; the m*k*n
+    difference tensor is never built.  Distances sum the n coordinates in
+    order and centroids are per-coordinate sums in sample order divided by
+    the cluster size.  That is bit for bit what ``np.sum(diff**2, axis=-1)``
+    and ``points[mask].mean(axis=0)`` give for 2 <= n <= 7.  At n = 1 numpy's
+    mean sums pairwise, and from n = 8 its distance sum does too, so there
+    the centers can differ from those forms in the last bits.
+    """
+    m, n = points.shape
+    cols = np.ascontiguousarray(points.T)
+    centers = np.empty((k, n))
+    centers[0] = points[rng.integers(m)]
+    near, tmp = np.empty((m, 1)), np.empty((m, 1))
+    d2 = _sq_dist(cols, centers[:1], near, tmp)[:, 0].copy()
     for c in range(1, k):
         total = d2.sum()
         if total == 0:
-            idx = int(rng.integers(n))
+            idx = int(rng.integers(m))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(rng.choice(m, p=d2 / total))
         centers[c] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+        np.minimum(d2, _sq_dist(cols, centers[c:c + 1], near, tmp)[:, 0], out=d2)
+    dist, tmp = np.empty((m, k)), np.empty((m, k))
     for _ in range(KMEANS_MAX_ITER):
-        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        assign = np.argmin(dist, axis=1)
-        own = dist[np.arange(n), assign]
-        new_centers = centers.copy()
-        for c in range(k):
-            mask = assign == c
-            if mask.any():
-                new_centers[c] = points[mask].mean(axis=0)
-            else:
+        assign = np.argmin(_sq_dist(cols, centers, dist, tmp), axis=1)
+        counts = np.bincount(assign, minlength=k)
+        filled = counts > 0
+        new_centers = np.empty((k, n))
+        for j in range(n):
+            sums = np.bincount(assign, weights=cols[j], minlength=k)
+            np.divide(sums, counts, out=new_centers[:, j], where=filled)
+        if not filled.all():
+            own = dist[np.arange(m), assign]
+            for c in np.flatnonzero(~filled):
                 far = int(np.argmax(own))
                 new_centers[c] = points[far]
                 own[far] = 0.0

@@ -62,6 +62,19 @@ def _freeze(obj, attr: str, values, clodum: Clodum, ndim: int) -> None:
     object.__setattr__(obj, attr, arr)
 
 
+def _adopt(cls, values: np.ndarray, clodum: Clodum, **fields):
+    """A typed object over a fresh C-ordered kernel output: read-only in place, no check, no copy.
+
+    The unchecked kernels map carrier values to carrier values, so a product
+    of typed operands needs no carrier check of its own result.
+    """
+    obj = object.__new__(cls)
+    values.flags.writeable = False
+    for name, value in {"values": values, "clodum": clodum, **fields}.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class TropicalVector:
     """A dense vector with entries in the carrier of ``clodum``, stored as a read-only copy."""
@@ -124,9 +137,9 @@ def matvec_dilate(A: TropicalMatrix, x: TropicalVector) -> TropicalVector:
     if n != len(x):
         raise DimensionMismatchError(f"matrix has {n} columns but vector has {len(x)} entries")
     if n == 0:
-        return TropicalVector(np.full(m, clodum.bottom), clodum)
+        return _adopt(TropicalVector, np.full(m, clodum.bottom), clodum)
     prod = clodum._mul(A.values, x.values[None, :])
-    return TropicalVector(np.max(prod, axis=1), clodum)
+    return _adopt(TropicalVector, np.max(prod, axis=1), clodum)
 
 
 def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
@@ -141,9 +154,9 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
     if m != len(y):
         raise DimensionMismatchError(f"matrix has {m} rows but vector has {len(y)} entries")
     if m == 0:
-        return TropicalVector(np.full(n, clodum.top), clodum)
+        return _adopt(TropicalVector, np.full(n, clodum.top), clodum)
     er = clodum._adjoint_erosion(A.values, y.values[:, None])
-    return TropicalVector(np.min(er, axis=0), clodum)
+    return _adopt(TropicalVector, np.min(er, axis=0), clodum)
 
 
 def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:
@@ -162,14 +175,14 @@ def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:
     kernel, reduce, empty = ((clodum._dual_mul, np.min, clodum.top) if dual
                              else (clodum._mul, np.max, clodum.bottom))
     if k == 0:
-        return TropicalMatrix(np.full((m, n), empty), clodum)
+        return _adopt(TropicalMatrix, np.full((m, n), empty), clodum)
     out = np.empty((m, n))
     rows = max(1, _SLAB_ELEMS // max(k * n, 1))
     b = B.values[None, :, :]
     for r in range(0, m, rows):
         slab = kernel(A.values[r:r + rows, :, None], b)
         reduce(slab, axis=1, out=out[r:r + rows])
-    return TropicalMatrix(out, clodum)
+    return _adopt(TropicalMatrix, out, clodum)
 
 
 def matmul_dilate(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
@@ -260,7 +273,7 @@ def signal_dilate(f: Signal1D, h: Signal1D) -> Signal1D:
         for t in range(nh - 1, -1, -1):
             seg = out[t:t + nf]
             np.maximum(seg, clodum._mul(f.values, h.values[t]), out=seg)
-    return Signal1D(out, f.origin + h.origin, clodum)
+    return _adopt(Signal1D, out, clodum, origin=f.origin + h.origin)
 
 
 def signal_erode(g: Signal1D, h: Signal1D) -> Signal1D:
@@ -284,4 +297,4 @@ def signal_erode(g: Signal1D, h: Signal1D) -> Signal1D:
         for t in range(nh - 1, -1, -1):
             seg = out[t:t + ng]
             np.minimum(seg, clodum._adjoint_erosion(rev[t], g.values), out=seg)
-    return Signal1D(out, g.origin - h.origin - (nh - 1), clodum)
+    return _adopt(Signal1D, out, clodum, origin=g.origin - h.origin - (nh - 1))

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, and the product, term-table and
 natural-breaks oracles use naive loops instead of vectorized reductions.  The
-tensor matrix product and the per-sample signal loops are the library's former
-implementations, kept to pin the bytes of their bounded-memory replacements.
+tensor matrix product, the per-sample signal loops, the mask-based k-means, the
+per-cell CSV reader and the per-row text writers are the library's former
+implementations, kept to pin the bytes of their replacements.
 """
 
 import numpy as np
@@ -179,3 +180,125 @@ def signal_erode_per_sample(g, h):
         seg = out[j:j + nh]
         np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
     return out, g.origin - h.origin - (nh - 1)
+
+
+def kmeans_masks(points, k, rng):
+    """Seeded k-means++ and Lloyd iterations through the m*k*n difference
+    tensor and one boolean mask per cluster: the library's former ``_kmeans``."""
+    from tropalg.regression import KMEANS_MAX_ITER, KMEANS_TOL
+
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
+    for _ in range(KMEANS_MAX_ITER):
+        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(dist, axis=1)
+        own = dist[np.arange(n), assign]
+        new_centers = centers.copy()
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                new_centers[c] = points[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(own))
+                new_centers[c] = points[far]
+                own[far] = 0.0
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift <= KMEANS_TOL:
+            break
+    return centers
+
+
+def ingest_csv_per_cell(path, has_header=True, target=None):
+    """The library's former CSV reader: each cell goes through ``float()``
+    and a NaN test as its row is read, so the first defect in file order
+    raises."""
+    import csv
+
+    from tropalg.cli import Dataset
+    from tropalg.clodum import TropicalError
+
+    def parse_cell(token, path, lineno):
+        try:
+            value = float(token)
+        except ValueError:
+            raise TropicalError(f"{path}:{lineno}: non-numeric cell {token!r}") from None
+        if np.isnan(value):
+            raise TropicalError(f"{path}:{lineno}: NaN is not a valid cell value")
+        return value
+
+    path = str(path)
+    rows = []
+    columns = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, record in enumerate(csv.reader(fh), start=1):
+            cells = [c.strip() for c in record]
+            if not cells or all(c == "" for c in cells):
+                continue
+            if columns is None and has_header:
+                columns = cells
+                continue
+            values = [parse_cell(c, path, lineno) for c in cells]
+            if rows and len(values) != len(rows[0]):
+                raise TropicalError(
+                    f"{path}:{lineno}: ragged row has {len(values)} cells, expected {len(rows[0])}"
+                )
+            rows.append(values)
+    if not rows:
+        raise TropicalError(f"{path}: no data rows")
+    width = len(rows[0])
+    if columns is None:
+        columns = [f"col{i + 1}" for i in range(width)]
+    if len(columns) != width:
+        raise TropicalError(f"{path}: header has {len(columns)} names for {width} columns")
+    if width < 2:
+        raise TropicalError(f"{path}: need at least one feature column and one target column")
+    if target is None:
+        target_index = width - 1
+    else:
+        if target not in columns:
+            raise TropicalError(f"{path}: no column named {target!r} (have {columns})")
+        target_index = columns.index(target)
+    return Dataset(columns, np.array(rows), target_index, path)
+
+
+def grid_text_per_row(pts, vals):
+    """Model-grid text of the former CLI writer, one f-string per grid point
+    of a 1-D or 2-D grid."""
+    lines = []
+    if pts.shape[1] == 1:
+        for a, v in zip(pts[:, 0], vals):
+            lines.append(f"{float(a)!r} {float(v)!r}")
+    else:
+        for (a, b), v in zip(pts, vals):
+            lines.append(f"{float(a)!r} {float(b)!r} {float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def residual_text_per_row(x, f, residuals):
+    """Residual-table text of the former CLI writer, one row per sample."""
+    pred = f - residuals
+    lines = []
+    for i in range(len(f)):
+        coords = " ".join(repr(float(v)) for v in x[i])
+        lines.append(f"{coords} {float(f[i])!r} {float(pred[i])!r} {float(residuals[i])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def eval_text_per_row(pts, vals):
+    """``tropalg eval`` text of the former CLI writer, one row per point."""
+    lines = []
+    for row, v in zip(pts, vals):
+        coords = " ".join(repr(float(c)) for c in row)
+        lines.append(f"{coords} {float(v)!r}")
+    return "\n".join(lines) + "\n"

@@ -1,17 +1,23 @@
 """Command-line interface: ingestion, subcommands, determinism, round-trips."""
 
+import csv
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tropalg import MAX_PLUS, TropicalMatrix, read_polynomial, write_tropmat
-from tropalg.cli import ingest_csv, main
+from oracles import eval_text_per_row, grid_text_per_row, ingest_csv_per_cell, residual_text_per_row
+from tropalg import MAX_PLUS, TropicalMatrix, read_polynomial, write_polynomial, write_tropmat
+from tropalg.cli import _fit_once, _model_grid, _residual_table, _table_text, ingest_csv, main
 from tropalg.clodum import TropicalError
+from tropalg.regression import AutoSlopes
 
 INF = float("inf")
 
@@ -86,6 +92,108 @@ def test_ingest_no_header(tmp_path):
     ds = ingest_csv(p, has_header=False)
     assert ds.columns == ["col1", "col2"]
     assert ds.num_samples == 2
+
+
+def _ingest_outcome(read, path, **kw):
+    try:
+        ds = read(path, **kw)
+    except TropicalError as exc:
+        return "error", str(exc)
+    return ds.columns, ds.values.dtype, ds.values.shape, ds.values.tobytes(), ds.target_index
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "-NaN", "1_0", "1__0", "", " 2 ", '"3"', '" -0.0 "',
+                     '"4,5"', "x", "1e400", "5e-324", "0x10", "Infinity"]),
+)
+_ROW = st.lists(_CELLS, min_size=1, max_size=4).map(",".join)
+_DEFECT = st.sampled_from(["1,apple", "nan,1", "1,2,3,4,5", "7", "1,,2", '"a b",1'])
+
+
+@st.composite
+def _csv_text(draw):
+    lines = draw(st.lists(st.one_of(_ROW, st.sampled_from(["", " , ", "1,2", "3,4"])), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):  # up to two defects, on different lines
+        lines.insert(draw(st.integers(0, len(lines))), draw(_DEFECT))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_text(), has_header=st.booleans(), target=st.sampled_from([None, "1", "x"]))
+def test_ingest_matches_per_cell_reader(text, has_header, target):
+    # whole-array conversion returns the same dataset, or raises the same
+    # first-in-file-order message, as parsing each cell as its row is read
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        kw = {"has_header": has_header, "target": target}
+        assert _ingest_outcome(ingest_csv, path, **kw) == _ingest_outcome(ingest_csv_per_cell, path, **kw)
+
+
+@pytest.mark.parametrize("tail", [
+    b"2," + b"9" * (csv.field_size_limit() + 1) + b"\n",  # over the csv field limit
+    b"3,4\n" * 5000 + b"5,\xff\n",  # not UTF-8, in a later chunk of the decoder
+])
+def test_ingest_bad_cell_wins_over_unreadable_line(tmp_path, tail):
+    # the csv module or the decoder refuses a later line only after line 2
+    # has been read, so line 2's defect is the first in file order
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"x,y\n1,apple\n" + tail)
+    with pytest.raises(TropicalError, match=r":2: non-numeric cell 'apple'"):
+        ingest_csv_per_cell(p)
+    with pytest.raises(TropicalError, match=r":2: non-numeric cell 'apple'"):
+        ingest_csv(p)
+
+
+def test_fit_reports_first_csv_defect(tmp_path, capsys):
+    p = tmp_path / "d.csv"
+    p.write_text("x,y\n1,2\n3,oops\n5,6\n7,8,9\n", encoding="utf-8")
+    assert main(["fit", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"tropalg: error: {p}:3: non-numeric cell 'oops'\n"
+    assert not list(tmp_path.glob("run*"))
+
+
+# ---------------------------------------------------------------------------
+# numeric text tables
+
+
+def test_table_text_matches_per_row_writers():
+    special = np.array([-0.0, 0.0, INF, -INF, 1e-300, 5e-324, -5e-324, 3.0, -17.0, 1e16, 0.1])
+    rng = np.random.default_rng(79)
+    cols = [rng.permutation(special) for _ in range(5)]
+    x1, x2, f, res, v = cols
+    assert _table_text(x1, v) == grid_text_per_row(x1[:, None], v)
+    pts = np.column_stack([x1, x2])
+    assert _table_text(pts, v) == grid_text_per_row(pts, v)
+    assert _table_text(pts, v) == eval_text_per_row(pts, v)
+    assert _table_text(x1[:, None], v) == eval_text_per_row(x1[:, None], v)
+    with np.errstate(invalid="ignore"):
+        pred = f - res
+    assert _table_text(pts, f, pred, res) == residual_text_per_row(pts, f, res)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_fit_and_eval_tables_match_per_row_writers(tmp_path, capsys, dims):
+    rng = np.random.default_rng(83 + dims)
+    x = rng.uniform(-2, 2, (60, dims))
+    x[:4, 0] = [-0.0, 1e-300, 5e-324, 1.0]
+    f = np.round(np.abs(x).sum(axis=1) * 4)  # integer targets
+    f[0] = -0.0
+    p = tmp_path / "d.csv"
+    p.write_text("\n".join(",".join(map(repr, row)) for row in np.column_stack([x, f]).tolist()) + "\n",
+                 encoding="utf-8")
+    data = ingest_csv(p, has_header=False)
+    report = _fit_once(data, MAX_PLUS, "mmae", AutoSlopes(3, 1), 1)
+    gx = [np.linspace(x[:, j].min(), x[:, j].max(), 5) for j in range(dims)]
+    grid = np.column_stack([g.ravel() for g in np.meshgrid(*gx, indexing="ij")])
+    assert _model_grid(report, data, 5) == grid_text_per_row(grid, report.model.evaluate(grid))
+    assert _residual_table(report, data) == residual_text_per_row(x, f, report.residuals)
+    model = tmp_path / "m.txt"
+    write_polynomial(model, report.model)
+    assert main(["eval", str(model), "--data", str(p), "--no-header"]) == 0
+    assert capsys.readouterr().out == eval_text_per_row(x, report.model.evaluate(x))
 
 
 # ---------------------------------------------------------------------------

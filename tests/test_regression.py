@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tropalg.regression
-from oracles import jenks_breaks_dp
+from oracles import jenks_breaks_dp, kmeans_masks
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -30,7 +30,7 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _jenks_breaks
+from tropalg.regression import _jenks_breaks, _kmeans
 
 INF = float("inf")
 
@@ -544,3 +544,117 @@ def test_least_squares_baseline():
     a, b = least_squares_line(x, f)
     assert a == pytest.approx(2.0)
     assert b == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# k-means: byte identity with the mask-based oracle
+
+
+def _kmeans_inputs(rng, m, n):
+    """Four point clouds: spread, heavy duplicates, a coordinate of -0.0 across
+    one cluster, and magnitudes over 16 decades."""
+    spread = rng.normal(size=(m, n))
+    dups = rng.integers(0, 3, size=(m, n)).astype(float)
+    signed = rng.normal(size=(m, n))
+    signed[: m // 2, 0] = -0.0
+    signed[m // 2:, 0] += 50.0
+    wide = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-8, 8, size=(m, n))
+    return spread, dups, signed, wide
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_kmeans_matches_mask_oracle_bytes(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    for m in (k, k + 2, 60, 2000):
+        for t, pts in enumerate(_kmeans_inputs(rng, m, n)):
+            got = _kmeans(pts, k, np.random.default_rng(t))
+            want = kmeans_masks(pts, k, np.random.default_rng(t))
+            assert got.tobytes() == want.tobytes(), (m, t)
+
+
+def test_kmeans_matches_mask_oracle_bytes_large():
+    rng = np.random.default_rng(59)
+    pts = rng.normal(size=(20_000, 2)) * [1.0, 3.0]
+    for k in (3, 16):
+        got = _kmeans(pts, k, np.random.default_rng(k))
+        assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(k)).tobytes()
+
+
+def test_kmeans_empty_clusters_reseed_like_oracle():
+    # 12 distinct points for 16 clusters: Lloyd steps leave clusters empty and
+    # the farthest-point reseeding, in ascending cluster order, refills them
+    rng = np.random.default_rng(61)
+    pts = np.repeat(rng.normal(size=(12, 3)), 5, axis=0)
+    for seed in range(4):
+        got = _kmeans(pts, 16, np.random.default_rng(seed))
+        assert got.tobytes() == kmeans_masks(pts, 16, np.random.default_rng(seed)).tobytes()
+
+
+class _ScriptedSeeds:
+    """Stands in for the generator of k-means++: hands out the given point
+    indices as seeds, in turn, whatever the seeding probabilities."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def integers(self, n):
+        return next(self.picks)
+
+    def choice(self, n, p=None):
+        return next(self.picks)
+
+
+def test_kmeans_reseeds_farthest_points_in_cluster_order():
+    # three seeds on one location: the first Lloyd step leaves clusters 1 and
+    # 2 empty while the other points are at distinct positive distances, so
+    # the order of the reseeding and the zeroing of a used point both show
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0], [6.0, 0.5],
+                    [10.0, 0.0], [10.0, 1.0], [20.0, 0.0], [21.0, 3.0]])
+    for picks in ([0, 1, 2, 3], [3, 0, 1, 2], [0, 1, 2, 1, 4]):
+        k = len(picks)
+        got = _kmeans(pts, k, _ScriptedSeeds(picks))
+        want = kmeans_masks(pts, k, _ScriptedSeeds(picks))
+        assert got.tobytes() == want.tobytes(), picks
+
+
+def test_kmeans_negative_zero_cluster_like_oracle():
+    pts = np.array([[-0.0, 1.0], [-0.0, 1.5], [-0.0, 2.0], [5.0, 9.0], [6.0, 9.5]])
+    got = _kmeans(pts, 2, np.random.default_rng(0))
+    want = kmeans_masks(pts, 2, np.random.default_rng(0))
+    assert got.tobytes() == want.tobytes()
+    assert 0.0 in got[:, 0] and not np.signbit(got[:, 0]).any()
+
+
+def test_kmeans_at_iteration_cap_like_oracle(monkeypatch):
+    # a negative tolerance never converges, so both run KMEANS_MAX_ITER steps
+    monkeypatch.setattr(tropalg.regression, "KMEANS_TOL", -1.0)
+    rng = np.random.default_rng(67)
+    for n in (2, 5):
+        pts = rng.normal(size=(3000, n))
+        got = _kmeans(pts, 16, np.random.default_rng(n))
+        assert got.tobytes() == kmeans_masks(pts, 16, np.random.default_rng(n)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_kmeans_close_to_oracle_outside_exact_range(n):
+    # at n = 1 the oracle's mean sums pairwise, and from n = 8 its distance
+    # sum does too, while _kmeans sums in order: equal up to rounding only
+    rng = np.random.default_rng(71 + n)
+    for pts in _kmeans_inputs(rng, 2000, n)[:2]:
+        got = _kmeans(pts, 16, np.random.default_rng(n))
+        want = kmeans_masks(pts, 16, np.random.default_rng(n))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_kmeans_memory_is_two_m_by_k_buffers():
+    m, k = 20_000, 16
+    pts = np.random.default_rng(73).normal(size=(m, 2))
+    tracemalloc.start()
+    try:
+        _kmeans(pts, k, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the m*k*n difference tensor and its square alone would be 2*m*k*n values
+    assert peak < 3 * m * k * 8

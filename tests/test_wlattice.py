@@ -454,6 +454,33 @@ def test_products_validate_once_per_typed_object(clodum, monkeypatch):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_products_do_not_check_their_own_result(clodum, monkeypatch):
+    # a product of typed operands is a fresh kernel output: it is frozen
+    # read-only in place, with no carrier check and no copy
+    rng = np.random.default_rng(43)
+    A = TropicalMatrix(_random_values(clodum, rng, (6, 5)), clodum)
+    B = TropicalMatrix(_random_values(clodum, rng, (5, 4)), clodum)
+    x = TropicalVector(_random_values(clodum, rng, 5), clodum)
+    y = TropicalVector(_random_values(clodum, rng, 6), clodum)
+    f = Signal1D(_random_values(clodum, rng, 9), -1, clodum)
+    h = Signal1D(_random_values(clodum, rng, 3), 2, clodum)
+    calls = []
+    validate = Clodum.validate
+
+    def counting(self, values):
+        calls.append(1)
+        return validate(self, values)
+
+    monkeypatch.setattr(Clodum, "validate", counting)
+    products = [matmul_dilate(A, B), matmul_erode(A, B), matvec_dilate(A, x), matvec_erode(A, y),
+                signal_dilate(f, h), signal_erode(f, h)]
+    assert calls == []
+    for p in products:
+        assert not p.values.flags.writeable and p.values.flags.c_contiguous
+        assert p.values.dtype == np.float64
+
+
 # ---------------------------------------------------------------------------
 # bounded-memory products: byte identity with the former implementations
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .clodum import Clodum, TropicalError
-from .formats import read_polynomial, read_tropmat, read_tropvec, write_polynomial
+from .formats import _open_text, read_polynomial, read_tropmat, read_tropvec, write_polynomial
 from .regression import (
     AutoSlopes,
     FitProblem,
@@ -103,17 +103,20 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
     """Read a numeric CSV dataset; the last column is the target by default.
 
     Cells must parse as finite reals or ``inf``/``-inf`` literals; ragged or
-    malformed rows are reported with their line number.  When a file has
-    several defects, the first in file order is reported.
+    malformed rows are reported with their line number, and so are lines the
+    csv module refuses (such as a cell over its field size limit).  Bytes that
+    are not UTF-8 are reported with the file name.  When a file has several
+    defects, the first in file order is reported.
     """
     path = str(path)
     rows: list[list[str]] = []
     lines: list[int] = []
     ragged = None
     columns: list[str] | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            for lineno, record in enumerate(csv.reader(fh), start=1):
+            for lineno, record in enumerate(reader, start=1):
                 cells = [c.strip() for c in record]
                 if not cells or all(c == "" for c in cells):
                     continue
@@ -125,8 +128,10 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
                     break
                 rows.append(cells)
                 lines.append(lineno)
-        except (csv.Error, UnicodeDecodeError):
+        except (csv.Error, UnicodeDecodeError) as exc:
             _cell_array(rows, lines, path)  # a bad cell above the unreadable line comes first
+            if isinstance(exc, csv.Error):
+                raise TropicalError(f"{path}:{reader.line_num}: {exc}") from None
             raise
     if not rows:
         raise TropicalError(f"{path}: no data rows")
@@ -161,7 +166,7 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.ndarray):
-        return " ".join(repr(float(v)) for v in value)
+        return " ".join(map(repr, value.tolist()))
     return str(value)
 
 
@@ -198,7 +203,7 @@ def _resolve_slope_arg(arg: str, seed: int):
             raise TropicalError(f"bad slope count in {arg!r}") from None
         return AutoSlopes(count, seed)
     rows = []
-    with open(arg, "r", encoding="utf-8") as fh:
+    with _open_text(arg) as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:

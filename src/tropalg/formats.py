@@ -6,9 +6,26 @@ literals.  Vectors are single-column matrices.  Polynomial files start with
 ``troppoly <orientation> <clodum-string>`` followed by one term per line:
 the slope coefficients, a ``|`` separator, then the intercept.  Floats are
 written with ``repr`` so re-reading reproduces them bit-exactly.
+
+A matrix document is read from an open stream.  When its first line is
+exactly the header, with positive dimensions, and every following non-blank
+line holds the same number of entries, numpy's C tokenizer
+(``np.loadtxt``) parses the entries straight from the stream, so no
+whole-file string or token list is built.  It converts each field with
+``PyOS_string_to_double``, the correctly rounded routine behind ``float()``,
+so the values are bit-identical to the per-token parse.  Any other layout,
+and any entry that tokenizer refuses (``1_0``, non-ASCII digits, a wrong
+count), rewinds the stream and splits the whole text into tokens, each
+converted with ``float()``; that parser is the only source of error
+messages.  Undecodable bytes in any file read here raise
+:class:`TropicalError` naming the file.
 """
 
 from __future__ import annotations
+
+import io
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,12 +53,22 @@ def _fmt(value: float) -> str:
 def format_tropmat(matrix: TropicalMatrix) -> str:
     m, n = matrix.shape
     lines = [f"tropmat {m} {n} {matrix.clodum.spec_string()}"]
-    for row in matrix.values:
-        lines.append(" ".join(_fmt(v) for v in row))
+    lines.extend(" ".join(map(repr, row)) for row in matrix.values.tolist())
     return "\n".join(lines) + "\n"
 
 
-def parse_tropmat(text: str) -> TropicalMatrix:
+@contextmanager
+def _open_text(path, newline=None):
+    """Open ``path`` as UTF-8 text; bytes that do not decode raise a
+    :class:`TropicalError` naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise TropicalError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_tropmat_tokens(text: str) -> TropicalMatrix:
     tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "tropmat":
         raise TropicalError("not a tropmat document: expected header 'tropmat <m> <n> <clodum>'")
@@ -49,6 +76,8 @@ def parse_tropmat(text: str) -> TropicalMatrix:
         m, n = int(tokens[1]), int(tokens[2])
     except ValueError as exc:
         raise TropicalError(f"bad tropmat dimensions: {tokens[1]} {tokens[2]}") from exc
+    if m < 0 or n < 0:
+        raise TropicalError(f"bad tropmat dimensions: {tokens[1]} {tokens[2]}")
     clodum = Clodum.parse(tokens[3])
     entries = tokens[4:]
     if len(entries) != m * n:
@@ -60,14 +89,50 @@ def parse_tropmat(text: str) -> TropicalMatrix:
     return TropicalMatrix(values, clodum)
 
 
+def _stream_tropmat_entries(fh):
+    """The m×n entries and clodum string of a regular tropmat stream, or
+    None when the stream needs the per-token parser (module docstring)."""
+    head = fh.readline().split()
+    if len(head) != 4 or head[0] != "tropmat":
+        return None
+    try:
+        m, n = int(head[1]), int(head[2])
+    except ValueError:
+        return None
+    if m <= 0 or n <= 0:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if values.size != m * n:
+        return None
+    return values.reshape(m, n), head[3]
+
+
+def _read_tropmat(fh) -> TropicalMatrix:
+    streamed = _stream_tropmat_entries(fh)
+    if streamed is None:
+        fh.seek(0)
+        return _parse_tropmat_tokens(fh.read())
+    values, spec = streamed
+    return TropicalMatrix(values, Clodum.parse(spec))
+
+
+def parse_tropmat(text: str) -> TropicalMatrix:
+    return _read_tropmat(io.StringIO(text))
+
+
 def write_tropmat(path, matrix: TropicalMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_tropmat(matrix))
 
 
 def read_tropmat(path) -> TropicalMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tropmat(fh.read())
+    with _open_text(path) as fh:
+        return _read_tropmat(fh)
 
 
 def read_tropvec(path) -> TropicalVector:
@@ -120,5 +185,5 @@ def write_polynomial(path, poly: TropicalPolynomial) -> None:
 
 
 def read_polynomial(path) -> TropicalPolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return parse_polynomial(fh.read())

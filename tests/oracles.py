@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, and the product, term-table and
 natural-breaks oracles use naive loops instead of vectorized reductions.  The
 tensor matrix product, the per-sample signal loops, the mask-based k-means, the
-per-cell CSV reader and the per-row text writers are the library's former
-implementations, kept to pin the bytes of their replacements.
+per-cell CSV reader, the per-token tropmat parser and the per-row and
+per-element text writers are the library's former implementations, kept to pin
+the bytes of their replacements.
 """
 
 import numpy as np
@@ -302,3 +303,49 @@ def eval_text_per_row(pts, vals):
         coords = " ".join(repr(float(c)) for c in row)
         lines.append(f"{coords} {float(v)!r}")
     return "\n".join(lines) + "\n"
+
+
+def parse_tropmat_per_token(text):
+    """The library's former tropmat parser: the whole text split into tokens,
+    each entry converted with ``float()``.  Negative dimensions are rejected
+    with the dimensions message, as the library now does."""
+    from tropalg.clodum import Clodum, TropicalError
+    from tropalg.wlattice import TropicalMatrix
+
+    tokens = text.split()
+    if len(tokens) < 4 or tokens[0] != "tropmat":
+        raise TropicalError("not a tropmat document: expected header 'tropmat <m> <n> <clodum>'")
+    try:
+        m, n = int(tokens[1]), int(tokens[2])
+    except ValueError as exc:
+        raise TropicalError(f"bad tropmat dimensions: {tokens[1]} {tokens[2]}") from exc
+    if m < 0 or n < 0:
+        raise TropicalError(f"bad tropmat dimensions: {tokens[1]} {tokens[2]}")
+    clodum = Clodum.parse(tokens[3])
+    entries = tokens[4:]
+    if len(entries) != m * n:
+        raise TropicalError(f"tropmat promises {m * n} entries, found {len(entries)}")
+    try:
+        values = np.array([float(t) for t in entries]).reshape(m, n)
+    except ValueError as exc:
+        raise TropicalError(f"bad tropmat entry: {exc}") from exc
+    return TropicalMatrix(values, clodum)
+
+
+def format_tropmat_per_element(matrix):
+    """tropmat text of the former writer, one ``repr(float(v))`` per entry."""
+    m, n = matrix.shape
+    lines = [f"tropmat {m} {n} {matrix.clodum.spec_string()}"]
+    for row in matrix.values:
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def report_value_per_element(value):
+    """Report field text of the former CLI formatter, one ``repr(float(v))``
+    per vector entry."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.ndarray):
+        return " ".join(repr(float(v)) for v in value)
+    return str(value)

@@ -155,6 +155,19 @@ def test_fit_reports_first_csv_defect(tmp_path, capsys):
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("body, message", [
+    (b"x,y\n1,2\n3,\xff\n", ": not UTF-8 text (invalid start byte)"),
+    (b"x,y\n1,2\n3," + b"9" * (csv.field_size_limit() + 1) + b"\n",
+     f":3: field larger than field limit ({csv.field_size_limit()})"),
+], ids=["not-utf8", "over-field-limit"])
+def test_fit_unreadable_csv_is_usage_error(tmp_path, capsys, body, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(body)
+    rc = main(["fit", str(p), "--out", str(tmp_path / "run")])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {p}{message}\n"
+    assert not list(tmp_path.glob("run*"))
+
+
 # ---------------------------------------------------------------------------
 # numeric text tables
 
@@ -294,6 +307,13 @@ def test_fit_non_numeric_slope_file_is_usage_error(line_csv, tmp_path, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+def test_fit_non_utf8_slope_file_is_usage_error(line_csv, tmp_path, capsys):
+    slopes = tmp_path / "slopes.txt"
+    slopes.write_bytes(b"1\n\xff\n")
+    rc = main(["fit", str(line_csv), "--slopes", str(slopes), "--out", str(tmp_path / "sf")])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {slopes}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_fit_ragged_slope_file_is_usage_error(tmp_path, capsys):
     data = tmp_path / "plane.csv"
     data.write_text("x,y,z\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", encoding="utf-8")
@@ -380,6 +400,15 @@ def test_solve_non_numeric_theta_header_is_usage_error(tmp_path, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("which", ["A.txt", "b.txt"])
+def test_solve_non_utf8_file_is_usage_error(tmp_path, capsys, which):
+    _write_system(tmp_path)
+    bad = tmp_path / which
+    bad.write_bytes(bad.read_bytes().replace(b"0.0", b"0.\xff", 1))
+    rc = main(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b.txt")])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 def test_solve_mmae_refused_off_maxplus(tmp_path, capsys):
     write_tropmat(tmp_path / "M.txt", TropicalMatrix([[0.5]], __import__("tropalg").MAX_MIN))
     write_tropmat(tmp_path / "c.txt", TropicalMatrix([[0.5]], __import__("tropalg").MAX_MIN))
@@ -405,6 +434,17 @@ def test_eval_non_numeric_point_is_usage_error(tmp_path, capsys):
     poly.write_text("troppoly max max-plus\n1.0 0.0 | -2.0\n", encoding="utf-8")
     rc = main(["eval", str(poly), "--at", "1,x"])
     _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("which", ["poly", "data"])
+def test_eval_non_utf8_file_is_usage_error(tmp_path, capsys, which):
+    files = {"poly": tmp_path / "p.txt", "data": tmp_path / "d.csv"}
+    files["poly"].write_bytes(b"troppoly max max-plus\n1 | 0\n")
+    files["data"].write_bytes(b"x,y\n1,2\n")
+    files[which].write_bytes(files[which].read_bytes() + b"\xc3\n")
+    rc = main(["eval", str(files["poly"]), "--data", str(files["data"])])
+    err = _one_line_usage_error(rc, capsys)
+    assert err.startswith(f"tropalg: error: {files[which]}: not UTF-8 text")
 
 
 def test_eval_over_dataset(tmp_path, capsys, line_csv):
@@ -471,6 +511,14 @@ def test_polytope_command_matches_library_on_random_files(tmp_path, capsys):
         np.testing.assert_array_equal(
             printed("minkowski_sum"), polytope_minkowski_sum(n1, n2).hull_vertices
         )
+
+
+def test_polytope_non_utf8_file_is_usage_error(tmp_path, capsys):
+    good, bad = tmp_path / "p.txt", tmp_path / "q.txt"
+    good.write_bytes(b"troppoly max max-plus\n1 0 | 0\n0 1 | 0\n")
+    bad.write_bytes(b"troppoly max max-plus\n1 0 | \xff0\n")
+    rc = main(["polytope", str(good), str(bad)])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_single_term_polytope(tmp_path, capsys):

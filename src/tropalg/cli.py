@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,7 +117,8 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            for lineno, record in enumerate(reader, start=1):
+            for record in reader:
+                lineno = reader.line_num  # the record's last physical line
                 cells = [c.strip() for c in record]
                 if not cells or all(c == "" for c in cells):
                     continue
@@ -244,8 +246,11 @@ def _model_grid(report: FitReport, data: Dataset, grid: int) -> str:
         gx = np.linspace(x[:, 0].min(), x[:, 0].max(), grid)
         gy = np.linspace(x[:, 1].min(), x[:, 1].max(), grid)
         xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        return _table_text(pts, report.model.evaluate(pts))
+        vals = report.model.evaluate(np.column_stack([xx.ravel(), yy.ravel()]))
+        # the _table_text of the grid points, with one repr per axis value
+        # instead of one per grid point
+        cells = itertools.product(map(repr, gx.tolist()), map(repr, gy.tolist()))
+        return "\n".join(f"{a} {b} {v}" for (a, b), v in zip(cells, map(repr, vals.tolist()))) + "\n"
     return f"# grid emission supports 1 or 2 features; dataset has {n}\n"
 
 

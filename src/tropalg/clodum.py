@@ -61,16 +61,32 @@ def _ret(out: np.ndarray):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _resolved(op, fill: float):
+def _finite(values) -> bool:
+    return bool(np.isfinite(values).all())
+
+
+def _finite_nonzero(values) -> bool:
+    return bool((np.isfinite(values) & (values != 0.0)).all())
+
+
+def _resolved(op, fill: float, tame):
     """Kernel applying ``op`` and sending its NaN results (inf - inf, 0 * inf) to ``fill``.
 
     The fill is written in place into the fresh result of ``op``, so a kernel
-    call allocates one output-sized array, not two.
+    call allocates one output-sized array, not two.  The NaN pass is skipped
+    when ``tame`` holds for every value of the smaller operand: all finite for
+    addition and subtraction, all finite and nonzero for multiplication.  The
+    operands are carrier values, never NaN, so the only NaN results are
+    inf - inf and 0 * inf, and each needs an infinite or zero value in both
+    operands; with one operand tame there is no NaN for the pass to replace,
+    and skipping it cannot change a bit.  The test reads the smaller operand
+    only, so it costs at most the NaN pass it saves.
     """
     def kernel(theta, a, b):
         with np.errstate(invalid="ignore", over="ignore"):
             out = np.asarray(op(a, b))
-        np.copyto(out, fill, where=np.isnan(out))
+        if not tame(a if np.size(a) <= np.size(b) else b):
+            np.copyto(out, fill, where=np.isnan(out))
         return out
     return kernel
 
@@ -133,10 +149,11 @@ class _Kind(NamedTuple):
 # (w = a = +inf and w = a = -inf) both have unbounded solution sets.
 _TABLE = {
     "max-plus": _Kind(-_INF, _INF, 0.0, 0.0, True,
-                      _resolved(np.add, -_INF), _resolved(np.add, _INF),
-                      _resolved(lambda a, w: w - a, _INF), lambda _, a: -a),
+                      _resolved(np.add, -_INF, _finite), _resolved(np.add, _INF, _finite),
+                      _resolved(lambda a, w: w - a, _INF, _finite), lambda _, a: -a),
     "max-times": _Kind(0.0, _INF, 1.0, 1.0, True,
-                       _resolved(np.multiply, 0.0), _resolved(np.multiply, _INF),
+                       _resolved(np.multiply, 0.0, _finite_nonzero),
+                       _resolved(np.multiply, _INF, _finite_nonzero),
                        _times_residual, _reciprocal),
     "max-min": _Kind(0.0, 1.0, 1.0, 0.0, False,
                      lambda _, a, b: np.minimum(a, b), lambda _, a, b: np.maximum(a, b),

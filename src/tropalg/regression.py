@@ -24,7 +24,7 @@ import numpy as np
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
 from .tropgeom import TropicalPolynomial, _term_design
-from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector
+from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
 
 __all__ = [
     "GivenSlopes",
@@ -148,12 +148,14 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     """Optimal intercepts for max-affine terms with these slope rows.
 
     The design matrix is the model's own term table at the samples, so the
-    intercepts are the x_hat/x_tilde of the design system.  Building it is the
-    one carrier check of the samples; the finiteness checks follow, so NaN and
-    out-of-carrier values raise :class:`CarrierError` first.
+    intercepts are the x_hat/x_tilde of the design system.  Checking the fresh
+    design in place is the one carrier check of the samples; the finiteness
+    checks follow, so NaN and out-of-carrier values raise
+    :class:`CarrierError` first.  The design is fresh and C-ordered, so it is
+    adopted as is, without the copy a ``TropicalMatrix`` would make.
     """
     _check_method(method, clodum)
-    design = TropicalMatrix(_term_design(x, slopes, clodum.unit), clodum)
+    design = _adopt(TropicalMatrix, clodum.validate(_term_design(x, slopes, clodum.unit)), clodum)
     target = TropicalVector(f, clodum)
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")

@@ -91,7 +91,8 @@ def _residual(b: np.ndarray, proj: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         r = b - proj
     # inf - inf: target and projection agree at infinity
-    return np.where(np.isnan(r), 0.0, r)
+    np.copyto(r, 0.0, where=np.isnan(r))
+    return r
 
 
 def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveResult:
@@ -103,6 +104,8 @@ def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveRe
     x_hat = matvec_erode(A, b)
     proj = matvec_dilate(A, x_hat).values
     r_gle = _residual(b.values, proj)
+    exact = bool(np.all(proj == b.values))
+    del proj  # one m-vector fewer alive during the MMAE pass
     finite = np.isfinite(b.values)
     mu = 0.5 * max(float(np.max(r_gle[finite])), 0.0) if finite.any() else 0.0
     x_tilde = None
@@ -114,7 +117,7 @@ def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveRe
         x_hat=x_hat,
         mu=mu,
         residual_gle=r_gle,
-        exact=bool(np.all(proj == b.values)),
+        exact=exact,
         x_tilde=x_tilde,
         residual_mmae=r_mmae,
     )

@@ -8,6 +8,13 @@ restricted to generalized lines and planes: constant terms and terms acting
 on a single coordinate through the clodum multiplication.  The table of
 terms before their intercepts is also the design matrix of the regression
 fits; it is NaN-checked only, as intercepts and points are validated.
+
+Evaluation builds and reduces that table one slab of rows at a time, so an
+evaluation of m points holds the m outputs and about max(``_SLAB_ELEMS``, 2K)
+table entries (``_SLAB_ELEMS`` is 65,536), never the whole m*K table.  A slab has at least two rows: a
+one-row slab would reach BLAS as a matrix-vector product, which rounds
+differently from the matrix product, so a one-row tail joins the slab before
+it.  Results are the whole table's to the bit, signed zeros included.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
-from .wlattice import DimensionMismatchError
+from .wlattice import _SLAB_ELEMS, DimensionMismatchError
 
 __all__ = [
     "TropicalPolynomial",
@@ -109,12 +116,14 @@ class TropicalPolynomial:
             return self.intercepts == self.clodum.bottom
         return self.intercepts == self.clodum.top
 
-    def _term_values(self, X: np.ndarray) -> np.ndarray:
-        """Per-term values at each row of X, shape (len(X), rank), after checking X."""
+    def _check_points(self, X: np.ndarray) -> None:
         if not np.isfinite(X).all():
             raise TropicalError("evaluation points must be finite")
         if self.clodum != MAX_PLUS:
             self.clodum.validate(X)
+
+    def _term_values(self, X: np.ndarray) -> np.ndarray:
+        """Per-term values at each row of checked points X, shape (len(X), rank)."""
         if self.orientation == "max":
             design = _term_design(X, self.slopes, self.clodum.unit)
             return self.clodum._mul(self.intercepts, design)
@@ -122,7 +131,16 @@ class TropicalPolynomial:
         return self.clodum._dual_mul(self.intercepts, design)
 
     def evaluate(self, points):
-        """Value at one point (shape (n,)) or a batch (shape (m, n))."""
+        """Value at one point (shape (n,)) or a batch (shape (m, n)).
+
+        The points are checked once; the term table is then built and reduced
+        into the output one slab of ``max(2, _SLAB_ELEMS // rank)`` rows at a
+        time, a one-row tail joining the slab before it, so the extra memory
+        is about ``max(_SLAB_ELEMS, 2 * rank)`` table entries whatever m.  Slabs keep at least
+        two rows because numpy hands a one-row ``X @ slopes.T`` to a
+        matrix-vector BLAS routine that rounds differently; with two or more
+        rows each entry is the whole product's to the bit.
+        """
         x = np.asarray(points, dtype=float)
         single = x.ndim <= 1
         X = np.atleast_2d(x)
@@ -130,8 +148,15 @@ class TropicalPolynomial:
             raise DimensionMismatchError(
                 f"polynomial has dimension {self.dimension}, got points of dimension {X.shape[1]}"
             )
-        vals = self._term_values(X)
-        out = vals.max(axis=1) if self.orientation == "max" else vals.min(axis=1)
+        self._check_points(X)
+        reduce = np.max if self.orientation == "max" else np.min
+        m = len(X)
+        bounds = [*range(0, m, max(2, _SLAB_ELEMS // self.rank)), m]
+        if len(bounds) > 2 and m - bounds[-2] == 1:
+            del bounds[-2]  # a one-row tail joins the slab before it
+        out = np.empty(m)
+        for r, stop in zip(bounds, bounds[1:]):
+            reduce(self._term_values(X[r:stop]), axis=1, out=out[r:stop])
         return float(out[0]) if single else out
 
     __call__ = evaluate
@@ -175,6 +200,7 @@ def argmax_terms(p: TropicalPolynomial, x, tol: float = DEFAULT_VARIETY_TOL) -> 
         raise DimensionMismatchError(
             f"polynomial has dimension {p.dimension}, got a point of dimension {pt.shape[1]}"
         )
+    p._check_points(pt)
     vals = p._term_values(pt)[0]
     if p.orientation == "max":
         best = vals.max()

@@ -9,10 +9,14 @@ reductions over an empty index set follow lattice completeness conventions
 Memory and loop bounds: a matrix product reduces row slabs of its left operand
 against the whole right operand, so no temporary holds more than
 ``max(_SLAB_ELEMS, k*n)`` elements (k*n is the size of the right operand); it
-never builds the m*k*n tensor.  A signal convolution loops in Python over the
-shorter of its two supports and treats the longer one as a single vector op.
-Each output entry meets its operands in the same order whatever the slab or
-loop axis, so results are reproducible to the bit, signed zeros included.
+never builds the m*k*n tensor.  The matrix-vector products reduce row slabs of
+the matrix the same way, and so does polynomial evaluation
+(``tropgeom.TropicalPolynomial.evaluate``) with its term table, so neither
+builds a temporary of the matrix's or table's size.  A signal convolution
+loops in Python over the shorter of its two supports and treats the longer one
+as a single vector op.  Each output entry meets its operands in the same order
+whatever the slab or loop axis, so results are reproducible to the bit, signed
+zeros included.
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ __all__ = [
 
 _INF = float("inf")
 
-# Element budget of one matrix-product slab: (rows of A) * k * n.
+# Element budget of one slab: (rows of A) * k * n for a matrix product,
+# (rows of A) * n for a matrix-vector product, (points) * terms for evaluation.
 _SLAB_ELEMS = 65536
 
 
@@ -131,15 +136,23 @@ def _same_clodum(a, b) -> Clodum:
 
 
 def matvec_dilate(A: TropicalMatrix, x: TropicalVector) -> TropicalVector:
-    """Matrix-vector dilation product: result_i = sup_j mul(a_ij, x_j)."""
+    """Matrix-vector dilation product: result_i = sup_j mul(a_ij, x_j).
+
+    Runs in row slabs of A, like :func:`matmul_dilate`: each output entry is
+    reduced from the same row of kernel values whatever the slab height.
+    """
     clodum = _same_clodum(A, x)
     m, n = A.shape
     if n != len(x):
         raise DimensionMismatchError(f"matrix has {n} columns but vector has {len(x)} entries")
     if n == 0:
         return _adopt(TropicalVector, np.full(m, clodum.bottom), clodum)
-    prod = clodum._mul(A.values, x.values[None, :])
-    return _adopt(TropicalVector, np.max(prod, axis=1), clodum)
+    out = np.empty(m)
+    row = x.values[None, :]
+    rows = max(1, _SLAB_ELEMS // n)
+    for r in range(0, m, rows):
+        np.max(clodum._mul(A.values[r:r + rows], row), axis=1, out=out[r:r + rows])
+    return _adopt(TropicalVector, out, clodum)
 
 
 def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
@@ -148,6 +161,14 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
     The unique operator satisfying the vector adjunction
     ``matvec_dilate(A, x) <= y  <=>  x <= matvec_erode(A, y)``; for clogs it
     equals the conjugate-transpose inf-dual-mul product.
+
+    Runs in row slabs of A, folding each slab's column minima into a running
+    minimum that starts at top.  ``np.minimum`` keeps its second operand on
+    ties, in the reduction over the rows as in the fold, so of two tied signed
+    zeros the later row's survives either way and the slabs cannot change a
+    bit.  A one-column A is
+    reduced whole: numpy reduces a contiguous column in SIMD lanes, whose
+    order a slab boundary would change.
     """
     clodum = _same_clodum(A, y)
     m, n = A.shape
@@ -155,8 +176,13 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
         raise DimensionMismatchError(f"matrix has {m} rows but vector has {len(y)} entries")
     if m == 0:
         return _adopt(TropicalVector, np.full(n, clodum.top), clodum)
-    er = clodum._adjoint_erosion(A.values, y.values[:, None])
-    return _adopt(TropicalVector, np.min(er, axis=0), clodum)
+    col = y.values[:, None]
+    rows = m if n == 1 else max(1, _SLAB_ELEMS // max(n, 1))
+    out = np.full(n, clodum.top)
+    for r in range(0, m, rows):
+        slab = np.min(clodum._adjoint_erosion(A.values[r:r + rows], col[r:r + rows]), axis=0)
+        np.minimum(out, slab, out=out)
+    return _adopt(TropicalVector, out, clodum)
 
 
 def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, and the product, term-table and
 natural-breaks oracles use naive loops instead of vectorized reductions.  The
-tensor matrix product, the per-sample signal loops, the mask-based k-means, the
+tensor matrix product, the per-sample signal loops, the whole-table polynomial
+evaluation and matrix-vector products, the always-NaN-filling clodum kernels, the mask-based k-means, the
 per-cell CSV reader, the per-token tropmat parser and the per-row and
 per-element text writers are the library's former implementations, kept to pin
 the bytes of their replacements.
@@ -143,6 +144,78 @@ def term_values_per_term(p, X):
             assert len(nz) == 1 and row[nz[0]] == 1.0
             cols.append(np.asarray(compose(p.intercepts[k], X[:, nz[0]])))
     return np.column_stack(cols)
+
+
+def resolved_with_nan_pass(op, fill):
+    """The library's former NaN-resolving clodum kernel: applies ``op`` and
+    always sends its NaN results (inf - inf, 0 * inf) to ``fill``."""
+    def kernel(theta, a, b):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = np.asarray(op(a, b))
+        np.copyto(out, fill, where=np.isnan(out))
+        return out
+    return kernel
+
+
+def former_kernels(clodum):
+    """(mul, dual_mul, residual) of ``clodum`` as the library computed them
+    before its NaN pass could be skipped; each takes (theta, a, b)."""
+    from tropalg.clodum import _TABLE
+
+    kind = _TABLE[clodum.kind]
+    inf = float("inf")
+    if clodum.kind == "max-plus":
+        return (resolved_with_nan_pass(np.add, -inf), resolved_with_nan_pass(np.add, inf),
+                resolved_with_nan_pass(lambda a, w: w - a, inf))
+    if clodum.kind == "max-times":
+        return (resolved_with_nan_pass(np.multiply, 0.0),
+                resolved_with_nan_pass(np.multiply, inf), kind.residual)
+    return kind.mul, kind.dual_mul, kind.residual
+
+
+def evaluate_full_table(p, points):
+    """The library's former ``TropicalPolynomial.evaluate``: the whole m*K
+    term table built at once through the former kernels, then reduced."""
+    from tropalg import MAX_PLUS
+    from tropalg.clodum import TropicalError
+    from tropalg.tropgeom import _term_design
+    from tropalg.wlattice import DimensionMismatchError
+
+    x = np.asarray(points, dtype=float)
+    single = x.ndim <= 1
+    X = np.atleast_2d(x)
+    if X.shape[1] != p.dimension:
+        raise DimensionMismatchError(
+            f"polynomial has dimension {p.dimension}, got points of dimension {X.shape[1]}"
+        )
+    if not np.isfinite(X).all():
+        raise TropicalError("evaluation points must be finite")
+    if p.clodum != MAX_PLUS:
+        p.clodum.validate(X)
+    mul, dual_mul, _ = former_kernels(p.clodum)
+    if p.orientation == "max":
+        vals = mul(p.clodum.theta, p.intercepts, _term_design(X, p.slopes, p.clodum.unit))
+        out = vals.max(axis=1)
+    else:
+        vals = dual_mul(p.clodum.theta, p.intercepts, _term_design(X, p.slopes, p.clodum.dual_unit))
+        out = vals.min(axis=1)
+    return float(out[0]) if single else out
+
+
+def matvec_whole(A, v, erode=False):
+    """The library's former matrix-vector products: the whole m*n kernel
+    table through the former kernels, then one reduction; ``erode`` gives
+    the adjoint erosion ``inf_i adjoint_erosion(a_ij, v_i)``."""
+    clodum = A.clodum
+    m, n = A.shape
+    mul, _, residual = former_kernels(clodum)
+    if erode:
+        if m == 0:
+            return np.full(n, clodum.top)
+        return np.min(residual(clodum.theta, A.values, v.values[:, None]), axis=0)
+    if n == 0:
+        return np.full(m, clodum.bottom)
+    return np.max(mul(clodum.theta, A.values, v.values[None, :]), axis=1)
 
 
 def matmul_tensor(A, B, dual=False):

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eval_text_per_row, grid_text_per_row, ingest_csv_per_cell, residual_text_per_row
-from tropalg import MAX_PLUS, TropicalMatrix, read_polynomial, write_polynomial, write_tropmat
-from tropalg.cli import _fit_once, _model_grid, _residual_table, _table_text, ingest_csv, main
+import tropalg.cli
+from tropalg import MAX_PLUS, TropicalMatrix, fit_plane, read_polynomial, write_polynomial, write_tropmat
+from tropalg.cli import Dataset, _fit_once, _model_grid, _residual_table, _table_text, ingest_csv, main
 from tropalg.clodum import TropicalError
 from tropalg.regression import AutoSlopes
 
@@ -155,6 +157,18 @@ def test_fit_reports_first_csv_defect(tmp_path, capsys):
     assert not list(tmp_path.glob("run*"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('x,y\n"1\n",3\n4,oops\n', ":4: non-numeric cell 'oops'"),
+    ('x,"y\n"\n1,2\n3,4\n1,2,3\n', ":5: ragged row has 3 cells, expected 2"),
+], ids=["after-multiline-cell", "after-multiline-header"])
+def test_csv_messages_name_physical_lines(tmp_path, text, message):
+    # a quoted cell spanning two lines is one record but two lines
+    p = tmp_path / "d.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(TropicalError, match=f"^{re.escape(str(p) + message)}$"):
+        ingest_csv(p)
+
+
 @pytest.mark.parametrize("body, message", [
     (b"x,y\n1,2\n3,\xff\n", ": not UTF-8 text (invalid start byte)"),
     (b"x,y\n1,2\n3," + b"9" * (csv.field_size_limit() + 1) + b"\n",
@@ -207,6 +221,41 @@ def test_fit_and_eval_tables_match_per_row_writers(tmp_path, capsys, dims):
     write_polynomial(model, report.model)
     assert main(["eval", str(model), "--data", str(p), "--no-header"]) == 0
     assert capsys.readouterr().out == eval_text_per_row(x, report.model.evaluate(x))
+
+
+@pytest.mark.parametrize("grid", [1, 2, 101])
+@pytest.mark.parametrize("columns", ["spread", "constant", "signed-zero", "tiny"])
+def test_2d_grid_matches_per_row_writer(grid, columns):
+    rng = np.random.default_rng(113)
+    xy = rng.uniform(-2, 2, (30, 2))
+    if columns == "constant":
+        xy[:, 1] = 0.75  # min == max: every grid row repeats one value
+    elif columns == "signed-zero":
+        xy[:, 0] = np.abs(xy[:, 0])
+        xy[0, 0] = -0.0  # a -0.0 minimum
+        xy[:, 1] = -0.0  # linspace(-0.0, -0.0, g) mixes 0.0 and -0.0
+    elif columns == "tiny":
+        xy[:, 0] = rng.choice([0.0, 1e-300], 30)
+        xy[:, 1] = rng.choice([-0.0, 1e-300, -1e-300], 30)
+    f = np.max(xy @ [[1.0, -0.5], [-1.0, 2.0]], axis=1) + 1.0
+    data = Dataset(["x", "y", "f"], np.column_stack([xy, f]), 2, "mem")
+    report = fit_plane(xy, f)
+    axes = [np.linspace(xy[:, j].min(), xy[:, j].max(), grid) for j in range(2)]
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    assert _model_grid(report, data, grid) == grid_text_per_row(pts, report.model.evaluate(pts))
+
+
+def test_2d_grid_formats_each_axis_value_once(monkeypatch):
+    # one repr per axis value and one per model value, not one per coordinate
+    rng = np.random.default_rng(127)
+    xy = rng.uniform(-2, 2, (30, 2))
+    f = xy.sum(axis=1)
+    data = Dataset(["x", "y", "f"], np.column_stack([xy, f]), 2, "mem")
+    report = fit_plane(xy, f)
+    calls = []
+    monkeypatch.setattr(tropalg.cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    _model_grid(report, data, 101)
+    assert len(calls) == 101 + 101 + 101**2
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import former_kernels
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -307,3 +308,36 @@ def test_adjoint_erosion_is_supremum(clodum, vals):
         if adj < clodum.top:
             cand = min(adj + max(1e-6, abs(adj) * 1e-9), clodum.top)
             assert not (clodum.mul(a, cand) <= w - 1e-12)
+
+
+@pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES], ids=str)
+def test_kernels_match_always_filling_oracle_bytes(clodum):
+    # the NaN pass is skipped only when the smaller operand is tame (finite,
+    # and nonzero for max-times); the result keeps every bit, whichever
+    # operand carries the infinities and signed zeros, under broadcasting
+    rng = np.random.default_rng(101)
+    wild = [v for v in (-INF, INF, 0.0, -0.0, 0.5, 2.0) if clodum.contains(v)]
+    mul, dual_mul, residual = former_kernels(clodum)
+    pairs = [(clodum._mul, mul), (clodum._dual_mul, dual_mul), (clodum._adjoint_erosion, residual)]
+
+    def tame(shape):
+        vals = rng.uniform(0.5, 2.0, shape)
+        if clodum == MAX_PLUS:  # zeros are tame for addition
+            vals[rng.random(shape) < 0.3] = rng.choice([0.0, -0.0])
+        return vals
+
+    def scalar(vals):  # 0-d operands arrive as python floats, as in the solver
+        return float(vals) if np.ndim(vals) == 0 else vals
+
+    shapes = [((6,), (9, 6)), ((9, 6), (6,)), ((9, 1), (1, 6)), ((1, 6), (9, 1)),
+              ((3, 4, 1), (1, 4, 5)), ((), (7,)), ((7,), ()), ((5,), (5,))]
+    for shape_a, shape_b in shapes:
+        for _ in range(20):
+            a, b = rng.choice(wild, shape_a), rng.choice(wild, shape_b)
+            ta, tb = tame(shape_a), tame(shape_b)
+            for x, y in ((a, b), (ta, b), (a, tb), (ta, tb)):
+                x, y = scalar(x), scalar(y)
+                for new, old in pairs:
+                    got = np.asarray(new(x, y))
+                    want = np.asarray(old(clodum.theta, x, y))
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x, y)

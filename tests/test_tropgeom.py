@@ -1,5 +1,7 @@
 """Polynomials, varieties, Newton polytopes and halfspaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from tropalg import (
 
 INF = float("inf")
 
-from oracles import brute_hull_2d, term_values_per_term  # noqa: E402
+from oracles import brute_hull_2d, evaluate_full_table, term_values_per_term  # noqa: E402
+from tropalg.wlattice import _SLAB_ELEMS  # noqa: E402
 
 
 def random_polynomial(rng, max_terms=6):
@@ -144,6 +147,54 @@ def test_term_values_match_per_term_oracle(clodum, orientation):
         p = TropicalPolynomial(slopes, _carrier_values(clodum, rng, k), clodum, orientation)
         X = _carrier_values(clodum, rng, (m, n), finite=True)  # evaluation points are finite
         assert np.array_equal(p._term_values(X), term_values_per_term(p, X))
+
+
+def _term_slopes(clodum, rng, k, n):
+    """k slope rows: one-hot or zero off max-plus, general (some zero) over max-plus."""
+    if clodum == MAX_PLUS:
+        return rng.normal(0, 2, (k, n)) * (rng.random((k, n)) < 0.8)
+    pick = rng.integers(0, n + 1, k)  # coordinate of a one-hot row, n for a zero row
+    return np.eye(n + 1)[pick, :n]
+
+
+def _tame_values(clodum, rng, shape):
+    """Finite, nonzero carrier values: kernels skip their NaN pass on these."""
+    return rng.uniform(0.1, 0.9, shape) * (1 if clodum in (MAX_TIMES, MAX_MIN) else rng.choice([-4, 4], shape))
+
+
+@pytest.mark.parametrize("orientation", ["max", "min"])
+@pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES, MAX_MIN, max_softmin(0.5)], ids=str)
+def test_evaluate_matches_whole_table_oracle_bytes(clodum, orientation):
+    # row slabs, the folded one-row tail and the skipped NaN pass reproduce
+    # the whole-table evaluation to the bit, signed zeros included; m runs
+    # through the slab boundaries of every K
+    rng = np.random.default_rng(89)
+    for k in (1, 2, 16, 32, 33, 64):
+        rows = max(2, _SLAB_ELEMS // k)
+        for n in (1, 2, 3, 7):
+            slopes = _term_slopes(clodum, rng, k, n)
+            points = _carrier_values(clodum, rng, (2 * rows + 1, n), finite=True)
+            for intercepts in (_carrier_values(clodum, rng, k), _tame_values(clodum, rng, k)):
+                p = TropicalPolynomial(slopes, intercepts, clodum, orientation)
+                for m in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+                    X = points[-m:]
+                    got, want = p.evaluate(X), evaluate_full_table(p, X)
+                    assert got.tobytes() == want.tobytes(), (k, n, m)
+                assert repr(p.evaluate(points[0])) == repr(evaluate_full_table(p, points[0]))
+
+
+def test_evaluate_memory_is_bounded():
+    # the whole 1e6 x 32 term table would take 256 MB, several times over
+    rng = np.random.default_rng(97)
+    p = TropicalPolynomial(rng.normal(size=(32, 3)), rng.normal(size=32))
+    X = rng.uniform(-1, 1, (1_000_000, 3))
+    tracemalloc.start()
+    try:
+        p.evaluate(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20  # the 8 MB output and one slab's temporaries
 
 
 def test_maxplus_evaluation_validates_no_term_table(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tropalg.wlattice
-from oracles import matmul_tensor, signal_dilate_per_sample, signal_erode_per_sample
+from oracles import matmul_tensor, matvec_whole, signal_dilate_per_sample, signal_erode_per_sample
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -511,6 +511,53 @@ def test_matmul_matches_tensor_oracle_bytes(clodum):
             ref = matmul_tensor(A, B, dual)
             assert out.shape == ref.shape == (m, n)
             assert out.tobytes() == ref.tobytes(), (m, k, n, op.__name__)
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())
+def test_matvec_matches_whole_table_oracle_bytes(clodum):
+    # row slabs reproduce the whole m*n kernel table's reductions to the bit;
+    # m runs through the slab boundaries, and the sparse signed-zero extrema
+    # would show a reduction order changed by a slab boundary
+    rng = np.random.default_rng(107)
+    budget = tropalg.wlattice._SLAB_ELEMS
+    for n in (0, 1, 2, 3, 16, 37, budget + 3):
+        rows = max(1, budget // max(n, 1))
+        for m in sorted({0, 1, 2, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            if m * n > 4 * budget:
+                continue
+            vals = _lattice_values(clodum, rng, (m, n))
+            sparse = np.full((m, n), clodum.bottom)  # a few signed-zero extrema per column
+            if m:
+                sparse[rng.integers(0, m, (3, n)), np.arange(n)] = rng.choice([0.0, -0.0], (3, n))
+            for A in (TropicalMatrix(vals, clodum), TropicalMatrix(sparse, clodum)):
+                x = TropicalVector(_lattice_values(clodum, rng, n), clodum)
+                y = TropicalVector(_lattice_values(clodum, rng, m), clodum)
+                assert matvec_dilate(A, x).values.tobytes() == matvec_whole(A, x).tobytes(), (m, n)
+                got, want = matvec_erode(A, y).values, matvec_whole(A, y, erode=True)
+                assert got.tobytes() == want.tobytes(), (m, n)
+    # a one-column erosion with sparse tied zeros, longer than a slab
+    m = 3 * budget + 5
+    for _ in range(20):
+        col = np.full((m, 1), -1.0)
+        col[rng.choice(m, 3, replace=False), 0] = rng.choice([0.0, -0.0], 3)
+        A = TropicalMatrix(col, MAX_PLUS)
+        y = TropicalVector(np.where(rng.random(m) < 0.5, 0.0, -0.0), MAX_PLUS)
+        assert matvec_erode(A, y).values.tobytes() == matvec_whole(A, y, erode=True).tobytes()
+
+
+@pytest.mark.parametrize("op", [matvec_dilate, matvec_erode], ids=lambda f: f.__name__)
+def test_matvec_memory_is_bounded(op):
+    # the whole 200,000 x 16 kernel table would take 25.6 MB
+    rng = np.random.default_rng(109)
+    A = TropicalMatrix(rng.normal(size=(200_000, 16)), MAX_PLUS)
+    v = TropicalVector(rng.normal(size=16 if op is matvec_dilate else 200_000), MAX_PLUS)
+    tracemalloc.start()
+    try:
+        op(A, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("clodum", ALL_CLODA, ids=lambda c: c.spec_string())

@@ -326,20 +326,66 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     return _jenks_breaks(derivs, count)
 
 
-def _sq_dist(cols: np.ndarray, centers: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Squared distances of every point to every center, written into ``out`` (m, k).
+def _sq_sum(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sum_j (a[j] - b[j])^2 in order of j, broadcast into ``out``.
 
-    ``cols`` holds the points one coordinate per row.  The coordinates are
-    summed in order, (p_0 - c_0)^2 + (p_1 - c_1)^2 + ..., using ``tmp`` (m, k)
-    as scratch, so the only memory is the two buffers the caller passes.
+    The coordinates are summed in order, (a_0 - b_0)^2 + (a_1 - b_1)^2 + ...,
+    using ``tmp`` (the shape of ``out``) as scratch, so the only memory is the
+    two buffers the caller passes.  Each step is one correctly rounded
+    elementwise op, so an entry does not depend on the shape it is computed in.
     """
-    np.subtract(cols[0][:, None], centers[:, 0], out=out)
+    np.subtract(a[0], b[0], out=out)
     np.square(out, out=out)
-    for j in range(1, len(cols)):
-        np.subtract(cols[j][:, None], centers[:, j], out=tmp)
+    for j in range(1, len(a)):
+        np.subtract(a[j], b[j], out=tmp)
         np.square(tmp, out=tmp)
         out += tmp
     return out
+
+
+def _sq_dist(cols: np.ndarray, centers: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to every center, written into ``out`` (m, k).
+
+    ``cols`` holds the points one coordinate per row; ``tmp`` (m, k) is scratch.
+    """
+    return _sq_sum(cols[:, :, None], centers.T[:, None, :], out, tmp)
+
+
+def _centroids(cols: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster means (k, n) as per-coordinate sums in sample order divided by
+    the cluster size, and the mask of non-empty clusters; the rows of empty
+    clusters are left unset."""
+    counts = np.bincount(assign, minlength=k)
+    filled = counts > 0
+    centers = np.empty((k, len(cols)))
+    for j in range(len(cols)):
+        sums = np.bincount(assign, weights=cols[j], minlength=k)
+        np.divide(sums, counts, out=centers[:, j], where=filled)
+    return centers, filled
+
+
+# Distance bounds of the k-means Lloyd step (see _kmeans): the relative slack,
+# per coordinate, of a distance taken from a computed squared distance; the
+# absolute slack for underflow, so no upper bound is below it; and the cap on
+# lower bounds, which keeps a skipped point's own distance finite.
+_BOUND_SLACK = 2.0**-48
+_BOUND_TINY = 2.0**-500
+_BOUND_HUGE = 2.0**500
+# factors that round a sum of bounds outward: (1 -+ u)^2 (1 +- 4u) exceeds 1,
+# or falls short of it, for the unit roundoff u = 2^-53
+_ROUND_UP = 1.0 + 2.0**-51
+_ROUND_DOWN = 1.0 - 2.0**-51
+
+
+def _upper(sq: np.ndarray, rel: float) -> np.ndarray:
+    """An upper bound on the exact distance whose computed square is ``sq``."""
+    return np.sqrt(sq) * (1.0 + rel) + _BOUND_TINY
+
+
+def _lower(sq: np.ndarray, rel: float) -> np.ndarray:
+    """A lower bound on the exact distance whose computed square is ``sq``,
+    with the skip margin taken off and capped at 2^500."""
+    return np.minimum(np.sqrt(sq) * (1.0 - 3.0 * rel) - _BOUND_TINY, _BOUND_HUGE)
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -347,13 +393,47 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     ascending cluster order, from the point currently farthest from its
     assigned center.
 
-    Memory is two m*k buffers, filled in place every iteration; the m*k*n
-    difference tensor is never built.  Distances sum the n coordinates in
-    order and centroids are per-coordinate sums in sample order divided by
-    the cluster size.  That is bit for bit what ``np.sum(diff**2, axis=-1)``
-    and ``points[mask].mean(axis=0)`` give for 2 <= n <= 7.  At n = 1 numpy's
+    Memory is two m*k buffers, filled in place; the m*k*n difference tensor
+    is never built.  Distances sum the n coordinates in order and centroids
+    are per-coordinate sums in sample order divided by the cluster size.
+    That is bit for bit what ``np.sum(diff**2, axis=-1)`` and
+    ``points[mask].mean(axis=0)`` give for 2 <= n <= 7.  At n = 1 numpy's
     mean sums pairwise, and from n = 8 its distance sum does too, so there
     the centers can differ from those forms in the last bits.
+
+    Each point keeps Hamerly's two bounds (Hamerly 2010, *Making k-means even
+    faster*): U at least its exact Euclidean distance to its own center, and
+    L at most (1 - r) times a lower bound B on its exact distance to every
+    other center.  Its distance row is recomputed only when U < L fails.
+    When the centers move, each by at most an upper bound d_c on its exact
+    move, U grows by d_own and L shrinks by the largest d_c of the other
+    centers, both rounded outward (``_ROUND_UP``/``_ROUND_DOWN``).  A point
+    whose bounds stop separating first gets U back from its computed
+    distance to its own center alone, and L may rise to the distance from
+    its own center to the nearest other one, minus U.  The skip is exact:
+
+    * A computed squared distance S of exact distance D (finite values) has
+      |S - D^2| <= g*D^2 + e, with g = (1 + u)^(n+2) - 1, u = 2^-53 and
+      e = n*2^-1074: n correctly rounded differences, squares and sums of
+      non-negative terms, and at most 2^-1075 per square that underflows.
+    * With r = (n + 4)*2^-48 = 32*(n + 4)*u and t = 2^-500 > sqrt(e),
+      U = sqrt(S)*(1 + r) + t >= D, and B = sqrt(S)*(1 - r) - t <= D; the
+      stored L = sqrt(S)*(1 - 3r) - t is at most (1 - r)*B after its own
+      roundings.  U >= 2^-500 always, and L <= 2^500.
+    * A point is skipped only if U < L.  Then U < (1 - r)*B, both lie in
+      [2^-500, 2^500], S_own <= (1 + g)*U^2 + e is finite, and every other
+      center has S_c >= (1 - g)*B^2 - e, or S_c = +inf.  As e is negligible
+      against r*B^2 >= r*2^-1000 and (1 + g)*(1 - r)^2 < 1 - g,
+      S_own < S_c strictly.
+
+    Hence a skipped point's computed row would have its unique minimum at
+    its current center: ``argmin``, with its lowest-index tie rule, and the
+    ``bincount`` centroids are unchanged bit for bit.  NaN bounds never pass
+    the test, so non-finite values always take the full computation.  Rows
+    are recomputed with ``_sq_dist`` on the gathered points, into prefix
+    views of the two m*k buffers.  When a cluster empties, the reseeding
+    takes every point's computed distance to its own center, and the next
+    step is a full pass.
     """
     m, n = points.shape
     cols = np.ascontiguousarray(points.T)
@@ -369,26 +449,98 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             idx = int(rng.choice(m, p=d2 / total))
         centers[c] = points[idx]
         np.minimum(d2, _sq_dist(cols, centers[c:c + 1], near, tmp)[:, 0], out=d2)
+    rel = _BOUND_SLACK * (n + 4)
     dist, tmp = np.empty((m, k)), np.empty((m, k))
+    assign = np.empty(m, dtype=np.intp)
+    upper, lower = np.empty(m), np.empty(m)
+    stale, sub = slice(None), cols  # the rows to recompute, and their points
     for _ in range(KMEANS_MAX_ITER):
-        assign = np.argmin(_sq_dist(cols, centers, dist, tmp), axis=1)
-        counts = np.bincount(assign, minlength=k)
-        filled = counts > 0
-        new_centers = np.empty((k, n))
-        for j in range(n):
-            sums = np.bincount(assign, weights=cols[j], minlength=k)
-            np.divide(sums, counts, out=new_centers[:, j], where=filled)
-        if not filled.all():
-            own = dist[np.arange(m), assign]
+        r = sub.shape[1]
+        rows = _sq_dist(sub, centers, dist[:r], tmp[:r])
+        best = np.argmin(rows, axis=1)
+        assign[stale] = best
+        pick = (np.arange(r), best)
+        upper[stale] = _upper(rows[pick], rel)
+        rows[pick] = _INF
+        lower[stale] = _lower(rows.min(axis=1), rel)
+        new_centers, filled = _centroids(cols, assign, k)
+        reseed = not filled.all()
+        if reseed:
+            own = _sq_sum(cols, centers[assign].T, np.empty(m), np.empty(m))
             for c in np.flatnonzero(~filled):
                 far = int(np.argmax(own))
                 new_centers[c] = points[far]
                 own[far] = 0.0
         shift = float(np.max(np.abs(new_centers - centers)))
+        drift = _upper(_sq_sum(new_centers.T, centers.T, np.empty(k), np.empty(k)), rel)
         centers = new_centers
         if shift <= KMEANS_TOL:
             break
+        if reseed:
+            stale, sub = slice(None), cols
+            continue
+        # the largest move among the centers other than each point's own
+        top = int(np.argmax(drift))
+        others = np.full(k, drift[top])
+        others[top] = np.max(np.delete(drift, top), initial=0.0)
+        upper += drift[assign]
+        upper *= _ROUND_UP
+        lower -= others[assign]
+        lower *= _ROUND_DOWN
+        stale = np.flatnonzero(~(upper < lower))
+        sub = cols[:, stale]
+        near = assign[stale]
+        own = _sq_sum(sub, centers[near].T, np.empty(len(stale)), np.empty(len(stale)))
+        upper[stale] = _upper(own, rel)
+        # no other center is nearer than the nearest one to the own center, minus U
+        gap = _sq_dist(centers.T, centers, np.empty((k, k)), np.empty((k, k)))
+        np.fill_diagonal(gap, _INF)
+        apart = (_lower(gap.min(axis=1), rel)[near] - upper[stale]) * _ROUND_DOWN
+        lower[stale] = np.maximum(lower[stale], apart)
+        loose = ~(upper[stale] < lower[stale])
+        stale, sub = stale[loose], sub[:, loose]
     return centers
+
+
+# A neighbourhood design whose smallest singular value is within this many
+# times ``matrix_rank``'s tolerance is re-ranked by ``np.linalg.matrix_rank``
+# itself: its values-only SVD may round differently from the SVD with vectors
+# used here, by far less than this band.
+_RANK_GUARD = 1000.0
+
+
+def _gradients(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares affine fits of ``values`` over every neighbourhood design.
+
+    Returns the mask of full-rank designs and, for those, the fitted
+    coefficients ``pinv(design) @ values``.  One SVD with vectors serves both
+    the rank test and the pseudo-inverse.  Designs with s_min well above
+    ``matrix_rank``'s tolerance max(rows, cols)*eps*s_max are full rank; those
+    in the guard band get ``matrix_rank``'s own verdict, so the mask is the one
+    ``matrix_rank(design) == cols`` gives.  The pseudo-inverse of the full-rank
+    designs repeats numpy's ``pinv`` formula step for step (rcond 1e-15, the
+    reciprocal of the large values, zeros elsewhere, then vt^T @ (s * u^T)),
+    so the coefficients are bit for bit those of ``np.linalg.pinv``.
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    tol = max(design.shape[1:]) * np.finfo(float).eps * s[:, 0]
+    good = s[:, -1] > _RANK_GUARD * tol
+    band = np.flatnonzero(~good)
+    if len(band):
+        good[band] = np.linalg.matrix_rank(design[band]) == design.shape[2]
+    if not good.all():
+        u, s, vt = u[good], s[good], vt[good]
+    large = s > 1e-15 * np.amax(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), np.multiply(s[..., None], np.swapaxes(u, -1, -2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = pinv @ values[good][..., None]
+    return good, beta[..., 0]
+
+
+def _sample_text(x: np.ndarray, i: int) -> str:
+    return f"sample {i} (x = {' '.join(repr(float(v)) for v in x[i])})"
 
 
 def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
@@ -396,7 +548,15 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
 
     Each sample's gradient comes from a least-squares affine fit over its
     max(n+2, 8) nearest neighbours; rank-deficient neighbourhoods are skipped
-    with a warning.  Clustering uses k-means++ initialization from ``seed``.
+    with a warning.  One batched SVD per neighbourhood gives both the rank
+    test and the pseudo-inverse, bit for bit what ``np.linalg.matrix_rank``
+    and ``np.linalg.pinv`` give (see ``_gradients``).  Clustering uses
+    k-means++ initialization from ``seed`` and Lloyd steps that skip the
+    distance rows their bounds settle (see ``_kmeans``).
+
+    Coordinates too far apart for finite neighbour distances, and gradients
+    that overflow or are too large for k-means to sum their squared
+    distances, raise :class:`TropicalError` naming the sample.
     """
     from scipy.spatial import cKDTree  # heavy import, needed only here
 
@@ -408,18 +568,35 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     if m < count + n:
         raise TropicalError(f"need at least {count + n} samples for {count} slopes in {n}-D")
     k_nn = min(max(n + 2, 8), m)
-    _, idx = cKDTree(x).query(x, k=k_nn)
+    reach, idx = cKDTree(x).query(x, k=k_nn)
     idx = np.atleast_2d(idx)
+    far = ~np.isfinite(np.atleast_2d(reach)).all(axis=1)
+    if far.any():
+        # the tree reports a neighbour at an infinite distance as index m
+        raise TropicalError(
+            f"the neighbour distances of {_sample_text(x, int(np.argmax(far)))} overflow"
+        )
     nb_x = x[idx] - x[:, None, :]
     design = np.concatenate([nb_x, np.ones((m, k_nn, 1))], axis=2)
-    ranks = np.linalg.matrix_rank(design)
-    good = ranks == n + 1
+    good, beta = _gradients(design, f[idx])
     if not good.any():
         raise TropicalError("every neighbourhood is rank-deficient; cannot estimate gradients")
     if not good.all():
         warnings.warn(f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods")
-    beta = np.linalg.pinv(design[good]) @ f[idx[good]][..., None]
-    gradients = beta[:, :n, 0]
+    gradients = beta[:, :n]
+    rows = np.flatnonzero(good)
+    bad = ~np.isfinite(gradients).all(axis=1)
+    if bad.any():
+        raise TropicalError(f"the gradient at {_sample_text(x, int(rows[np.argmax(bad)]))} overflows")
+    # every squared distance k-means forms, and their sum over all samples,
+    # stay below n * (2 * largest)^2 * samples
+    size = np.abs(gradients).max(axis=1)
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(n * len(rows) * np.square(2.0 * size.max()))
+    if not fits:
+        raise TropicalError(
+            f"the gradient at {_sample_text(x, int(rows[np.argmax(size)]))} is too large to cluster"
+        )
     if count > len(gradients):
         raise TropicalError(f"only {len(gradients)} gradient samples for {count} clusters")
     return _kmeans(gradients, count, np.random.default_rng(seed))

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, and the product, term-table and
 natural-breaks oracles use naive loops instead of vectorized reductions.  The
 tensor matrix product, the per-sample signal loops, the whole-table polynomial
-evaluation and matrix-vector products, the always-NaN-filling clodum kernels, the mask-based k-means, the
+evaluation and matrix-vector products, the always-NaN-filling clodum kernels,
+the mask-based k-means, the ``matrix_rank`` + ``pinv`` gradient stage, the
 per-cell CSV reader, the per-token tropmat parser and the per-row and
 per-element text writers are the library's former implementations, kept to pin
 the bytes of their replacements.
@@ -291,6 +292,15 @@ def kmeans_masks(points, k, rng):
         if shift <= KMEANS_TOL:
             break
     return centers
+
+
+def gradients_rank_pinv(design, values):
+    """The library's former gradient stage of the n-D slope estimator: the
+    full-rank mask from ``np.linalg.matrix_rank``, then
+    ``np.linalg.pinv(design[good]) @ values[good]``; returns (mask, coefficients)."""
+    good = np.linalg.matrix_rank(design) == design.shape[2]
+    beta = np.linalg.pinv(design[good]) @ values[good][..., None]
+    return good, beta[..., 0]
 
 
 def ingest_csv_per_cell(path, has_header=True, target=None):

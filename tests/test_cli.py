@@ -393,6 +393,23 @@ def test_fit_overflowing_derivative_is_usage_error(tmp_path, capsys):
     assert "samples 0 and 1" in _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("scale, target, named", [
+    (1.5e308, None, "neighbour distances of sample 0"),  # neighbours 3e308 apart
+    (1.0, 1.7e308, "gradient at sample"),  # the local fits overflow
+])
+def test_fit_overflowing_nd_samples_is_usage_error(tmp_path, capsys, scale, target, named):
+    x = np.random.default_rng(0).uniform(-1, 1, (30, 2)) * scale
+    f = x[:, 0] * 0.0 if target is None else np.where(np.arange(30) % 2, target, -target)
+    data = tmp_path / "samples.csv"
+    rows = "\n".join(f"{float(a)!r},{float(b)!r},{float(c)!r}" for (a, b), c in zip(x, f))
+    data.write_text("x,y,f\n" + rows + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", str(data), "--slopes", "auto:3", "--out", str(tmp_path / "ov2")])
+    assert named in _one_line_usage_error(rc, capsys)
+    assert list(tmp_path.glob("ov2.*")) == []
+
+
 # ---------------------------------------------------------------------------
 # solve command
 

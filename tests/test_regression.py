@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tropalg.regression
-from oracles import jenks_breaks_dp, kmeans_masks
+from oracles import gradients_rank_pinv, jenks_breaks_dp, kmeans_masks
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -30,7 +30,7 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _jenks_breaks, _kmeans
+from tropalg.regression import _gradients, _jenks_breaks, _kmeans
 
 INF = float("inf")
 
@@ -393,6 +393,101 @@ def test_estimate_slopes_nd_degenerate_neighbourhoods():
         estimate_slopes_nd(x, f, 2, seed=0)
 
 
+def _designs_around_rank_tolerance(rng, count, rows=8, cols=3):
+    """Designs U diag(s) V^T whose smallest singular value is 10^-3 .. 10^5
+    times matrix_rank's tolerance max(rows, cols) * eps * s_max."""
+    left = np.linalg.qr(rng.normal(size=(count, rows, cols)))[0]
+    right = np.linalg.qr(rng.normal(size=(count, cols, cols)))[0]
+    s = np.ones((count, cols))
+    s[:, 1:-1] = rng.uniform(0.1, 1.0, (count, cols - 2))
+    s[:, -1] = rows * np.finfo(float).eps * np.geomspace(1e-3, 1e5, count)
+    return (left * s[:, None, :]) @ right
+
+
+def test_gradients_match_rank_pinv_oracle_bytes():
+    rng = np.random.default_rng(79)
+    for rows, cols in ((8, 3), (8, 4), (9, 8)):
+        for scale in (1e-100, 1.0, 1e100):
+            design = _designs_around_rank_tolerance(rng, 400, rows, cols) * scale
+            values = rng.normal(size=(400, rows))
+            good, beta = _gradients(design, values)
+            want_good, want_beta = gradients_rank_pinv(design, values)
+            # both verdicts occur, and the guard band re-ranks full-rank designs
+            assert 0 < want_good.sum() < len(want_good)
+            assert np.array_equal(good, want_good), (rows, cols, scale)
+            assert beta.tobytes() == want_beta.tobytes(), (rows, cols, scale)
+
+
+def _slopes_nd_former(x, f, count, seed):
+    """The former n-D estimator: k-NN designs, the matrix_rank + pinv
+    gradients and mask-based k-means; returns (full-rank mask, slopes)."""
+    from scipy.spatial import cKDTree
+
+    m, n = x.shape
+    k_nn = min(max(n + 2, 8), m)
+    idx = np.atleast_2d(cKDTree(x).query(x, k=k_nn)[1])
+    design = np.concatenate([x[idx] - x[:, None, :], np.ones((m, k_nn, 1))], axis=2)
+    good, beta = gradients_rank_pinv(design, f[idx])
+    return good, kmeans_masks(beta[:, :n], count, np.random.default_rng(seed))
+
+
+def _partly_degenerate_samples(rng, jitter):
+    """A spread cloud, 10 copies of one point and 12 collinear points, far
+    enough apart that each group is its own neighbourhood; ``jitter`` adds
+    groups of 9 nearly collinear points, one per perpendicular scale."""
+    parts = [rng.uniform(-1, 1, (150, 2)), np.repeat([[3.0, 3.0]], 10, axis=0),
+             np.column_stack([np.linspace(5, 6, 12), np.full(12, -4.0)])]
+    for g, scale in enumerate(jitter):
+        t = np.linspace(0.0, 0.5, 9)
+        parts.append(np.column_stack([10.0 + 3 * g + t, 8.0 + scale * rng.normal(size=9)]))
+    x = np.vstack(parts)
+    f = np.abs(x[:, 0] - 0.5) + 0.5 * np.abs(x[:, 1]) + rng.uniform(-0.01, 0.01, len(x))
+    return x, f
+
+
+def test_estimate_slopes_nd_skips_degenerate_neighbourhoods_like_former():
+    # duplicates (rank 1) and collinear points (rank 2) are skipped, the rest kept
+    x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
+    good, want = _slopes_nd_former(x, f, 4, 5)
+    assert (~good).sum() == 22
+    with pytest.warns(UserWarning, match=r"^skipped 22 samples with rank-deficient neighbourhoods$"):
+        got = estimate_slopes_nd(x, f, 4, seed=5)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_estimate_slopes_nd_near_rank_tolerance_like_former():
+    # nearly collinear neighbourhoods whose smallest singular value lies
+    # around matrix_rank's tolerance, 8 * eps * s_max with s_max ~ 3
+    scales = 24 * np.finfo(float).eps * np.geomspace(1e-2, 1e4, 24)
+    x, f = _partly_degenerate_samples(np.random.default_rng(89), scales)
+    good, want = _slopes_nd_former(x, f, 4, 6)
+    skipped = int((~good).sum())
+    assert 22 < skipped < 22 + 9 * len(scales)
+    with pytest.warns(UserWarning, match=rf"^skipped {skipped} samples with"):
+        got = estimate_slopes_nd(x, f, 4, seed=6)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_estimate_slopes_nd_overflowing_coordinates_name_the_sample():
+    # neighbours 3e308 apart are at an infinite distance: the tree reports
+    # them as index m, which must not reach the neighbourhood arrays
+    x = np.random.default_rng(0).uniform(-1, 1, (30, 2)) * 1.5e308
+    with pytest.raises(TropicalError, match=r"neighbour distances of sample 0 \(x = .*e\+307 .*\) overflow"):
+        estimate_slopes_nd(x, x[:, 0] * 0.0, 3)
+
+
+def test_estimate_slopes_nd_overflowing_gradients_name_the_sample():
+    x = np.random.default_rng(0).uniform(-1, 1, (30, 2))
+    f = np.where(np.arange(30) % 2, 1.7e308, -1.7e308)
+    with pytest.raises(TropicalError, match=r"gradient at sample \d+ \(x = .*\) overflows"):
+        estimate_slopes_nd(x, f, 3)
+    # finite gradients whose squared k-means distances would overflow
+    with pytest.raises(TropicalError, match=r"gradient at sample \d+ .* too large to cluster"):
+        estimate_slopes_nd(x, 1e300 * x[:, 0], 3)
+    with pytest.raises(TropicalError, match="overflows"):
+        fit_max_affine(FitProblem(x, f, AutoSlopes(3)))
+
+
 # ---------------------------------------------------------------------------
 # max-affine fits
 
@@ -645,6 +740,78 @@ def test_kmeans_close_to_oracle_outside_exact_range(n):
         got = _kmeans(pts, 16, np.random.default_rng(n))
         want = kmeans_masks(pts, 16, np.random.default_rng(n))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_kmeans_equidistant_lattice_like_oracle():
+    # integer lattice points and starts on lattice points: many points lie
+    # exactly midway between two centers, before and after the Lloyd steps,
+    # so only the lowest-index tie rule decides them
+    g = np.arange(8.0)
+    pts = np.array([(a, b) for a in g for b in g])
+    for picks in ([0, 2, 16, 18], [0, 4, 32, 36], [9, 11, 13, 27, 29, 31], [0, 63]):
+        got = _kmeans(pts, len(picks), _ScriptedSeeds(picks))
+        assert got.tobytes() == kmeans_masks(pts, len(picks), _ScriptedSeeds(picks)).tobytes(), picks
+    for seed in range(6):
+        for k in (4, 9):
+            got = _kmeans(pts, k, np.random.default_rng(seed))
+            assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(seed)).tobytes()
+
+
+def test_kmeans_long_moves_then_tiny_gaps_like_oracle():
+    # centers start 1e4 away and travel to two mirrored clusters; probes at
+    # (+-e, 0) sit between them, e down to 1e-300 and 0 (an exact tie), so
+    # the bounds drift a long way and then have to resolve tiny gaps
+    rng = np.random.default_rng(89)
+    half = rng.normal(scale=0.1, size=(300, 2)) + [-1.0, 0.0]
+    e = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 30)])
+    probes = np.column_stack([np.concatenate([e, -e]), np.zeros(2 * len(e))])
+    far = rng.normal(scale=0.1, size=(100, 2)) + [1e4, 1e4]
+    pts = np.vstack([half, -half, probes, far])
+    start = len(pts) - len(far)
+    for picks in ([start, start + 1, start + 2], [start, start + 1, 600], [start, 0, 300, start + 5]):
+        got = _kmeans(pts, len(picks), _ScriptedSeeds(picks))
+        assert got.tobytes() == kmeans_masks(pts, len(picks), _ScriptedSeeds(picks)).tobytes(), picks
+    for seed in range(4):
+        for k in (2, 3, 5):
+            got = _kmeans(pts, k, np.random.default_rng(seed))
+            assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(seed)).tobytes()
+
+
+def test_kmeans_sixteen_decades_like_oracle():
+    # blobs from 1e-8 to 1e8 wide in one set: the bound slack is relative
+    rng = np.random.default_rng(97)
+    for n in (2, 3):
+        blobs = [rng.normal(size=(150, n)) * 10.0**e + 10.0 ** (e + 1) * rng.normal(size=n)
+                 for e in range(-8, 9, 2)]
+        pts = rng.permutation(np.vstack(blobs))
+        for k in (4, 16):
+            got = _kmeans(pts, k, np.random.default_rng(k))
+            assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(k)).tobytes(), (n, k)
+
+
+def test_kmeans_bounds_skip_most_distance_rows(monkeypatch):
+    # the Lloyd steps recompute only the rows their bounds do not settle, so
+    # far fewer than one full m x k pass per step (about 8% of them here)
+    m, k = 20_000, 16
+    rows, steps = [0], [0]
+    sq_dist, centroids = tropalg.regression._sq_dist, tropalg.regression._centroids
+
+    def counting_sq_dist(cols, centers, out, tmp):
+        if len(centers) == k:
+            rows[0] += len(out)
+        return sq_dist(cols, centers, out, tmp)
+
+    def counting_centroids(cols, assign, k):
+        steps[0] += 1
+        return centroids(cols, assign, k)
+
+    monkeypatch.setattr(tropalg.regression, "_sq_dist", counting_sq_dist)
+    monkeypatch.setattr(tropalg.regression, "_centroids", counting_centroids)
+    pts = np.random.default_rng(59).normal(size=(m, 2)) * [1.0, 3.0]
+    got = _kmeans(pts, k, np.random.default_rng(k))
+    assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(k)).tobytes()
+    assert steps[0] > 10
+    assert rows[0] < 0.5 * m * steps[0]
 
 
 def test_kmeans_memory_is_two_m_by_k_buffers():

@@ -26,6 +26,7 @@ from .regression import (
     FitProblem,
     FitReport,
     GivenSlopes,
+    _sweep_fits,
     fit_line,
     fit_max_affine,
     fit_plane,
@@ -236,15 +237,27 @@ def _fit_once(data: Dataset, clodum: Clodum, method: str, slope_arg, seed: int) 
     return fit_max_affine(FitProblem(x, f, slope_arg, clodum), method)
 
 
+def _axis(values: np.ndarray, grid: int) -> np.ndarray:
+    """``grid`` evenly spaced points from the least to the greatest value.
+
+    A range wider than the largest float is spaced on the halved bounds and
+    doubled, exactly; every other range is ``np.linspace`` of the bounds.
+    """
+    lo, hi = float(values.min()), float(values.max())
+    if np.isfinite(hi - lo):
+        return np.linspace(lo, hi, grid)
+    return np.linspace(lo / 2, hi / 2, grid) * 2
+
+
 def _model_grid(report: FitReport, data: Dataset, grid: int) -> str:
     x = data.features
     n = x.shape[1]
     if n == 1:
-        gx = np.linspace(x.min(), x.max(), grid)
+        gx = _axis(x, grid)
         return _table_text(gx, report.model.evaluate(gx[:, None]))
     if n == 2:
-        gx = np.linspace(x[:, 0].min(), x[:, 0].max(), grid)
-        gy = np.linspace(x[:, 1].min(), x[:, 1].max(), grid)
+        gx = _axis(x[:, 0], grid)
+        gy = _axis(x[:, 1], grid)
         xx, yy = np.meshgrid(gx, gy, indexing="ij")
         vals = report.model.evaluate(np.column_stack([xx.ravel(), yy.ravel()]))
         # the _table_text of the grid points, with one repr per axis value
@@ -285,8 +298,9 @@ def run_fit(args) -> int:
     if args.sweep_k:
         lo, hi = args.sweep_k
         pairs.append(("sweep", f"{lo}:{hi}"))
-        for k in range(lo, hi + 1):
-            rep = _fit_once(data, clodum, args.method, AutoSlopes(k, args.seed), args.seed)
+        counts = range(lo, hi + 1)
+        fits = _sweep_fits(data.features, data.target, counts, clodum, args.method, args.seed)
+        for k, rep in zip(counts, fits):
             pairs.append((f"sweep[{k}]", f"rms={rep.rms_error!r} linf={rep.linf_error!r}"))
         _emit(_report_lines("fit", pairs), None)
         return 0

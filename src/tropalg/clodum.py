@@ -96,9 +96,10 @@ def _soft_max(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     hi = np.maximum(a, b)
     with np.errstate(invalid="ignore", over="ignore"):
         gap = hi - np.minimum(a, b)
-        out = hi + theta * np.log1p(np.exp(-gap / theta))
-    # gap is NaN only when both arguments are the same infinity.
-    return np.where(np.isnan(out), hi, out)
+        lift = theta * np.log1p(np.exp(-gap / theta))
+    # lift is NaN only when both arguments are the same infinity; where it is
+    # 0, hi is kept as is, since hi + 0.0 would turn -0.0 into 0.0
+    return np.where(lift > 0, hi + lift, hi)
 
 
 def _soft_min(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -108,6 +109,14 @@ def _soft_min(theta: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         gap = np.maximum(a, b) - lo
         out = lo - theta * np.log1p(np.exp(-gap / theta))
     return np.where(np.isnan(out), lo, out)
+
+
+def _max_dual(theta, a, b):
+    # max with -0.0 above 0.0, so the dual unit 0.0 returns either operand
+    # bit for bit: where the max is 0 both operands are zeros, and -(-a - b)
+    # is 0.0 when both are 0.0 and -0.0 otherwise
+    out = np.maximum(a, b)
+    return np.where(out == 0, -(-a - b), out)
 
 
 def _times_residual(theta, a, w):
@@ -146,9 +155,11 @@ class _Kind(NamedTuple):
 
 
 # The max-plus residual is upper addition of w and -a; its two NaN patterns
-# (w = a = +inf and w = a = -inf) both have unbounded solution sets.
+# (w = a = +inf and w = a = -inf) both have unbounded solution sets.  The
+# max-plus dual unit is -0.0, the conjugate of the unit: x + -0.0 is x bit for
+# bit, where -0.0 + 0.0 is 0.0.
 _TABLE = {
-    "max-plus": _Kind(-_INF, _INF, 0.0, 0.0, True,
+    "max-plus": _Kind(-_INF, _INF, 0.0, -0.0, True,
                       _resolved(np.add, -_INF, _finite), _resolved(np.add, _INF, _finite),
                       _resolved(lambda a, w: w - a, _INF, _finite), lambda _, a: -a),
     "max-times": _Kind(0.0, _INF, 1.0, 1.0, True,
@@ -156,7 +167,7 @@ _TABLE = {
                        _resolved(np.multiply, _INF, _finite_nonzero),
                        _times_residual, _reciprocal),
     "max-min": _Kind(0.0, 1.0, 1.0, 0.0, False,
-                     lambda _, a, b: np.minimum(a, b), lambda _, a, b: np.maximum(a, b),
+                     lambda _, a, b: np.minimum(a, b), _max_dual,
                      lambda _, a, w: np.where(w >= a, 1.0, w), lambda _, a: 1.0 - a),
     "max-softmin": _Kind(-_INF, _INF, _INF, -_INF, False,
                          _soft_min, _soft_max, _softmin_residual, lambda _, a: -a),
@@ -209,7 +220,9 @@ class Clodum:
         """
         arr = np.asarray(values, dtype=float)
         k = _TABLE[self.kind]
-        if not ((arr >= k.bottom) & (arr <= k.top)).all():
+        # one min and one max reduction, no boolean temporaries; a NaN makes
+        # its reduction NaN, and NaN fails the comparison
+        if arr.size and not (arr.min() >= k.bottom and arr.max() <= k.top):
             if np.isnan(arr).any():
                 raise CarrierError(f"NaN is not an element of the {self.kind} carrier")
             raise CarrierError(f"{self.kind} carrier is [{k.bottom:g}, {k.top:g}]; got a value outside it")

@@ -143,6 +143,17 @@ def _check_method(method: str, clodum: Clodum) -> None:
         )
 
 
+def _rms(res: np.ndarray) -> float:
+    """Root mean square of the residuals.  When the squares overflow, the
+    residuals are scaled by a power of two into (-1, 1) first, exactly."""
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(res**2))
+    if np.isinf(rms) and np.isfinite(res).all():
+        e = int(np.frexp(np.abs(res).max())[1])
+        rms = np.ldexp(np.sqrt(np.mean(np.ldexp(res, -e) ** 2)), e)
+    return float(rms)
+
+
 def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
                method: str, source: str) -> FitReport:
     """Optimal intercepts for max-affine terms with these slope rows.
@@ -171,7 +182,7 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     return FitReport(
         model=model,
         method=method,
-        rms_error=float(np.sqrt(np.mean(res**2))),
+        rms_error=_rms(res),
         linf_error=float(np.max(np.abs(res))),
         residuals=res,
         slope_source=source,
@@ -211,6 +222,11 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     b_k = inf_i (f_i - X_ik); the whole intercept solve is one pass over the
     data, O(K m n).  MMAE adds half the GLE l_inf error to every intercept.
     """
+    return _fit_max_affine(problem, method, estimate_slopes_1d)
+
+
+def _fit_max_affine(problem: FitProblem, method: str, slopes_1d) -> FitReport:
+    """``fit_max_affine`` with ``slopes_1d`` in place of ``estimate_slopes_1d``."""
     if problem.clodum != MAX_PLUS:
         raise UnsupportedClodumError(
             "fit_max_affine composes general slope vectors and needs max-plus; "
@@ -223,7 +239,7 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
         if slopes.shape[1] != problem.dimension:
             raise DimensionMismatchError("slope vectors and samples disagree on dimension")
     elif problem.dimension == 1:
-        slopes = estimate_slopes_1d(
+        slopes = slopes_1d(
             problem.inputs[:, 0], problem.targets, problem.slopes.count, problem.slopes.seed
         )[:, None]
         source = "jenks"
@@ -233,6 +249,19 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
         )
         source = "kmeans"
     return _fit_terms(problem.inputs, problem.targets, slopes, MAX_PLUS, method, source)
+
+
+def _sweep_fits(x, f, counts: range, clodum: Clodum, method: str, seed: int):
+    """``fit_max_affine(FitProblem(x, f, AutoSlopes(k, seed), clodum), method)``
+    for each k of ``counts`` in turn, as a generator.
+
+    With one feature, the derivatives and one natural-breaks DP for the
+    largest count serve every k (see ``_SharedJenks``); each report, and the
+    first error, are those of the separate fits.
+    """
+    slopes_1d = _SharedJenks(max(counts))
+    for k in counts:
+        yield _fit_max_affine(FitProblem(x, f, AutoSlopes(k, seed), clodum), method, slopes_1d)
 
 
 # ---------------------------------------------------------------------------
@@ -261,51 +290,119 @@ def _numerical_derivatives(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return derivs
 
 
-def _jenks_breaks(values: np.ndarray, k: int) -> np.ndarray:
-    """Exact natural-breaks clustering of 1-D data (dynamic programming).
+def _sse(s1: np.ndarray, s2: np.ndarray, i, j):
+    """Within-cluster sum of squared deviations of sorted values i..j, from
+    the prefix sums ``s1`` of the values and ``s2`` of their squares."""
+    cnt = j - i + 1
+    s = s1[j + 1] - s1[i]
+    return np.maximum((s2[j + 1] - s2[i]) - s * s / cnt, 0.0)
 
-    Minimizes the total within-cluster sum of squared deviations over
-    contiguous partitions of the sorted values; ties pick the lower break
-    index.  Returns the k cluster means in ascending order.
 
-    The DP does O(k n^2) work, vectorised over the split candidate and a block
-    of cluster ends; each temporary holds at most ``_JENKS_PAIRS`` candidate
-    pairs, so extra memory is O(k n) for the cost and split tables, never
-    O(n^2).
+def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values and the split table of the natural-breaks DP for every c <= k.
+
+    ``split[c, j]`` is the first index of the last cluster in the best
+    partition of the sorted values 0..j into c clusters.  The cost sse(i, j)
+    of a cluster i..j does not depend on c, so the DP runs over blocks of
+    cluster ends j.  Each block computes its sse table once, for every split
+    i up to its last end, and sets i > j and NaN (from infinite values) to
+    +inf.  The layers c = 2..k then run on that one table: layer c adds
+    ``cost[c-1, i-1]`` and takes ``np.argmin`` over the splits i >= c - 1 in
+    ascending order, whose first minimum is the lower-index tie rule.  The sse
+    expression, the candidates and their order are those of the scalar DP
+    (``tests/oracles.py::jenks_breaks_dp``), so the splits, and the means
+    backtracked from them, are bit for bit the same.  Row c of the table does
+    not depend on k, so the table for k serves every smaller cluster count.
+
+    A block holds ``max(1, _JENKS_PAIRS // n)`` cluster ends, so no temporary
+    has more than ``_JENKS_PAIRS`` entries (n when n is larger), and extra
+    memory is O(k n) for the cost and split tables, never O(n^2).  Each
+    sse(i, j) is computed once per DP, not once per layer.
     """
     v = np.sort(values)
     n = len(v)
     s1 = np.concatenate([[0.0], np.cumsum(v)])
     s2 = np.concatenate([[0.0], np.cumsum(v**2)])
-
-    def sse(i, j):
-        cnt = j - i + 1
-        s = s1[j + 1] - s1[i]
-        return np.maximum((s2[j + 1] - s2[i]) - s * s / cnt, 0.0)
-
     cost = np.full((k + 1, n), _INF)
     split = np.zeros((k + 1, n), dtype=int)
+    width = max(1, _JENKS_PAIRS // n)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        cost[1] = sse(0, np.arange(n))
-        for c in range(2, k + 1):
-            starts = np.arange(c - 1, n)[:, None]
-            width = max(1, _JENKS_PAIRS // len(starts))
-            for lo in range(c - 1, n, width):
-                j = np.arange(lo, min(lo + width, n))
-                i = starts[: j[-1] - c + 2]
-                val = cost[c - 1, i - 1] + sse(i, j)
-                # argmin keeps the first minimum, the lower-index tie rule;
-                # NaN (from infinite values) and i > j never win.
-                val[(i > j) | np.isnan(val)] = _INF
-                arg = np.argmin(val, axis=0)
-                cost[c, j] = val[arg, np.arange(len(j))]
-                split[c, j] = arg + c - 1
-    bounds = [n - 1]
+        cost[1] = _sse(s1, s2, 0, np.arange(n))
+        # NaN loses every comparison, as +inf does; as +inf, every later cost
+        # is a number or +inf, so the layers need no NaN pass of their own
+        cost[1, np.isnan(cost[1])] = _INF
+        if k == 1:
+            return v, split
+        for lo in range(1, n, width):
+            hi = min(lo + width, n)
+            j = np.arange(lo, hi)[:, None]  # one row per cluster end
+            i = np.arange(1, hi)  # one column per split
+            table = _sse(s1, s2, i, j)
+            table[(i > j) | np.isnan(table)] = _INF
+            for c in range(2, min(k, hi) + 1):
+                first = max(0, c - 1 - lo)  # the rows of the ends j >= c - 1
+                val = cost[c - 1, c - 2:hi - 1] + table[first:, c - 2:]
+                arg = np.argmin(val, axis=1)
+                cost[c, lo + first:hi] = val[np.arange(len(arg)), arg]
+                split[c, lo + first:hi] = arg + c - 1
+    return v, split
+
+
+def _jenks_means(v: np.ndarray, split: np.ndarray, k: int) -> np.ndarray:
+    """The k cluster means of the sorted values ``v``, backtracked from ``split``."""
+    bounds = [len(v) - 1]
     for c in range(k, 1, -1):
         bounds.append(split[c, bounds[-1]] - 1)
     bounds.append(-1)
     bounds = bounds[::-1]
     return np.array([v[bounds[t] + 1:bounds[t + 1] + 1].mean() for t in range(k)])
+
+
+def _jenks_breaks(values: np.ndarray, k: int) -> np.ndarray:
+    """Exact natural-breaks clustering of 1-D data (dynamic programming).
+
+    Minimizes the total within-cluster sum of squared deviations over
+    contiguous partitions of the sorted values; ties pick the lower break
+    index.  Returns the k cluster means in ascending order.  The DP shares
+    one sse table per block of cluster ends among all cluster counts, so it
+    does O(n^2) sse work and O(k n^2) additions and comparisons (see
+    ``_jenks_table``).
+    """
+    return _jenks_means(*_jenks_table(values, k), k)
+
+
+class _SharedJenks:
+    """``estimate_slopes_1d`` of one set of samples, at any count up to ``top``.
+
+    The first call that passes the sample count check takes the derivatives;
+    the first that passes the derivative count check runs one natural-breaks
+    DP for ``top`` clusters, or as many as there are derivatives.  Every call
+    then backtracks for its own count.  Row c of the DP does not depend on the
+    count it was run for, so each result is bit for bit what
+    ``estimate_slopes_1d`` gives, and each call makes the same checks in the
+    same order, so it raises the same error.  Every call must pass the same
+    samples.
+    """
+
+    def __init__(self, top: int) -> None:
+        self.top = top
+        self.derivs = None
+        self.table = None
+
+    def __call__(self, x, f, count: int, seed: int = 0) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(-1)
+        f = np.asarray(f, dtype=float).reshape(-1)
+        if x.shape != f.shape:
+            raise DimensionMismatchError("x and f must have equal length")
+        if len(x) < count + 1:
+            raise TropicalError(f"need at least {count + 1} samples for {count} slopes")
+        if self.derivs is None:
+            self.derivs = _numerical_derivatives(x, f)
+        if count > len(self.derivs):
+            raise TropicalError(f"only {len(self.derivs)} derivative samples for {count} clusters")
+        if self.table is None:
+            self.table = _jenks_table(self.derivs, min(self.top, len(self.derivs)))
+        return _jenks_means(*self.table, count)
 
 
 def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
@@ -314,16 +411,7 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     The clustering is an exact 1-D k-means, so the result is deterministic;
     ``seed`` is accepted for interface symmetry with the n-D estimator.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    if x.shape != f.shape:
-        raise DimensionMismatchError("x and f must have equal length")
-    if len(x) < count + 1:
-        raise TropicalError(f"need at least {count + 1} samples for {count} slopes")
-    derivs = _numerical_derivatives(x, f)
-    if count > len(derivs):
-        raise TropicalError(f"only {len(derivs)} derivative samples for {count} clusters")
-    return _jenks_breaks(derivs, count)
+    return _SharedJenks(count)(x, f, count)
 
 
 def _sq_sum(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -554,9 +642,12 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     k-means++ initialization from ``seed`` and Lloyd steps that skip the
     distance rows their bounds settle (see ``_kmeans``).
 
-    Coordinates too far apart for finite neighbour distances, and gradients
-    that overflow or are too large for k-means to sum their squared
-    distances, raise :class:`TropicalError` naming the sample.
+    When the squared neighbour distances of x overflow, the neighbours and
+    gradients are taken on x scaled by a power of two, exactly, so finite
+    coordinates of any spread can be fitted; every other input gives the same
+    slopes as without this step, bit for bit.  Gradients that overflow or are
+    too large for k-means to sum their squared distances raise
+    :class:`TropicalError` naming the sample.
     """
     from scipy.spatial import cKDTree  # heavy import, needed only here
 
@@ -568,22 +659,25 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     if m < count + n:
         raise TropicalError(f"need at least {count + n} samples for {count} slopes in {n}-D")
     k_nn = min(max(n + 2, 8), m)
-    reach, idx = cKDTree(x).query(x, k=k_nn)
+    xs, shift = x, 0
+    reach, idx = cKDTree(xs).query(xs, k=k_nn)
+    if not np.isfinite(reach).all():
+        # the tree squares distances, and some overflowed: query x scaled by
+        # 2^shift into (-1, 1), exactly, so the neighbour order is the same;
+        # offsets on the scale of the designs' column of ones keep their rank
+        shift = -int(np.frexp(np.abs(x).max())[1])
+        xs = np.ldexp(x, shift)
+        idx = cKDTree(xs).query(xs, k=k_nn)[1]
     idx = np.atleast_2d(idx)
-    far = ~np.isfinite(np.atleast_2d(reach)).all(axis=1)
-    if far.any():
-        # the tree reports a neighbour at an infinite distance as index m
-        raise TropicalError(
-            f"the neighbour distances of {_sample_text(x, int(np.argmax(far)))} overflow"
-        )
-    nb_x = x[idx] - x[:, None, :]
+    nb_x = xs[idx] - xs[:, None, :]
     design = np.concatenate([nb_x, np.ones((m, k_nn, 1))], axis=2)
     good, beta = _gradients(design, f[idx])
     if not good.any():
         raise TropicalError("every neighbourhood is rank-deficient; cannot estimate gradients")
     if not good.all():
         warnings.warn(f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods")
-    gradients = beta[:, :n]
+    # the gradient in x is the gradient in x * 2^shift, times 2^shift
+    gradients = np.ldexp(beta[:, :n], shift)
     rows = np.flatnonzero(good)
     bad = ~np.isfinite(gradients).all(axis=1)
     if bad.any():

@@ -333,6 +333,37 @@ def test_fit_sweep(line_csv, capsys):
         assert f"sweep[{k}]:" in out
 
 
+def _sweep_line(data, k):
+    rep = _fit_once(data, MAX_PLUS, "gle", AutoSlopes(k, 0), 0)
+    return f"sweep[{k}]: rms={rep.rms_error!r} linf={rep.linf_error!r}"
+
+
+def test_fit_sweep_lines_equal_separate_fits(tmp_path, capsys):
+    # the sweep runs one natural-breaks DP for its largest k; every line is
+    # the one a separate auto:k fit gives
+    x = np.sort(np.random.default_rng(4).uniform(-3, 3, 60))
+    f = np.logaddexp(x, -2 * x) + 0.01 * np.sin(7 * x)
+    path = tmp_path / "curve.csv"
+    path.write_text("x,y\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, f)),
+                    encoding="utf-8")
+    assert main(["fit", str(path), "--sweep-k", "1:8"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("sweep[")]
+    data = ingest_csv(path)
+    assert lines == [_sweep_line(data, k) for k in range(1, 9)]
+
+
+def test_fit_sweep_past_the_derivative_count_fails_like_the_fit(tmp_path, capsys):
+    # a repeated abscissa leaves 8 derivative samples for 10 samples
+    path = tmp_path / "dup.csv"
+    path.write_text("x,y\n0,1\n0,2\n" + "".join(f"{i},{i * i}\n" for i in range(1, 9)),
+                    encoding="utf-8")
+    message = "tropalg: error: only 8 derivative samples for 9 clusters\n"
+    assert main(["fit", str(path), "--sweep-k", "6:9"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main(["fit", str(path), "--slopes", "auto:9", "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_fit_grid_override(line_csv, tmp_path):
     out = tmp_path / "g"
     assert main(["fit", str(line_csv), "--slopes", "line", "--grid", "11",
@@ -394,7 +425,6 @@ def test_fit_overflowing_derivative_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scale, target, named", [
-    (1.5e308, None, "neighbour distances of sample 0"),  # neighbours 3e308 apart
     (1.0, 1.7e308, "gradient at sample"),  # the local fits overflow
 ])
 def test_fit_overflowing_nd_samples_is_usage_error(tmp_path, capsys, scale, target, named):
@@ -408,6 +438,33 @@ def test_fit_overflowing_nd_samples_is_usage_error(tmp_path, capsys, scale, targ
         rc = main(["fit", str(data), "--slopes", "auto:3", "--out", str(tmp_path / "ov2")])
     assert named in _one_line_usage_error(rc, capsys)
     assert list(tmp_path.glob("ov2.*")) == []
+
+
+@pytest.mark.parametrize("scale, f_scale", [(2.0**600, 2.0**600), (1.5e308, 1.0)],
+                         ids=["2**600", "1.5e308"])
+def test_fit_widely_spread_nd_samples(tmp_path, capsys, scale, f_scale):
+    # neighbour distances beyond ~1.3e154 overflow when squared, so do the
+    # squared residuals of f * 2^600, and at 1.5e308 the grid's range
+    # overflows; each fits, with finite errors, and writes every file
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1, 1, (30, 2))
+    f = np.abs(x[:, 0]) + np.abs(x[:, 1])
+    data = tmp_path / "wide.csv"
+    rows = "\n".join(f"{float(a)!r},{float(b)!r},{float(c)!r}"
+                     for (a, b), c in zip(x * scale, f * f_scale))
+    data.write_text("x,y,f\n" + rows + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", str(data), "--slopes", "auto:3", "--out", str(tmp_path / "w")])
+    assert rc == 0
+    report = capsys.readouterr().out
+    assert "slope_source: kmeans" in report
+    errors = re.findall(r"^(?:rms|linf)_error: (.*)$", report, re.MULTILINE)
+    assert len(errors) == 2 and np.isfinite([float(e) for e in errors]).all()
+    grid = np.loadtxt(tmp_path / "w.grid.txt")
+    assert len(grid) == 101 * 101 and np.isfinite(grid).all()
+    assert grid[0, :2].tolist() == [x[:, 0].min() * scale, x[:, 1].min() * scale]
+    assert grid[-1, :2].tolist() == [x[:, 0].max() * scale, x[:, 1].max() * scale]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scalar clodum arithmetic: frozen examples and algebraic laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ def test_structure_constants():
     assert (MAX_TIMES.bottom, MAX_TIMES.top, MAX_TIMES.unit, MAX_TIMES.dual_unit) == (0.0, INF, 1.0, 1.0)
     assert (MAX_MIN.bottom, MAX_MIN.top, MAX_MIN.unit, MAX_MIN.dual_unit) == (0.0, 1.0, 1.0, 0.0)
     assert (SOFT1.bottom, SOFT1.top, SOFT1.unit, SOFT1.dual_unit) == (-INF, INF, INF, -INF)
+    # the max-plus dual unit is -0.0, the conjugate of the unit 0.0
+    assert math.copysign(1.0, MAX_PLUS.dual_unit) == math.copysign(1.0, MAX_PLUS.conjugate(0.0)) == -1.0
     assert MAX_PLUS.is_clog and MAX_TIMES.is_clog
     assert not MAX_MIN.is_clog and not SOFT1.is_clog
 
@@ -63,6 +66,27 @@ def test_carrier_rejection():
         MAX_MIN.validate(1.5)
     assert MAX_MIN.contains([0.0, 0.5, 1.0])
     assert not MAX_MIN.contains([-0.1])
+
+
+def test_validate_builds_no_full_size_temporaries():
+    # one min and one max reduction: no m x K boolean arrays
+    design = np.random.default_rng(1).uniform(0.0, 1.0, (100_000, 8))
+    for clodum in (MAX_PLUS, MAX_MIN):
+        tracemalloc.start()
+        try:
+            assert clodum.validate(design) is design
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < design.size / 64
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=str)
+def test_validate_edge_cases(clodum):
+    assert clodum.validate(np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(CarrierError, match="NaN is not an element"):
+        clodum.validate([clodum.unit, float("nan")])
+    assert clodum.contains([clodum.bottom, clodum.top, clodum.unit, clodum.dual_unit])
 
 
 def test_softmin_requires_theta():
@@ -239,6 +263,17 @@ def test_identity_and_null_laws(clodum, vals):
         assert clodum.dual_mul(clodum.top, a) == clodum.top
 
     check()
+
+
+@pytest.mark.parametrize("clodum", ALL_CLODA, ids=str)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_dual_unit_keeps_signed_zeros(clodum, zero):
+    # -0.0 + 0.0 is 0.0; under the dual unit either zero comes back as is
+    for got in (clodum.dual_mul(zero, clodum.dual_unit), clodum.dual_mul(clodum.dual_unit, zero)):
+        assert np.array(got).tobytes() == np.array(zero).tobytes()
+    ones = np.full(3, zero)
+    for got in (clodum.dual_mul(ones, clodum.dual_unit), clodum.dual_mul(clodum.dual_unit, ones)):
+        assert got.tobytes() == ones.tobytes()
 
 
 @cloda_params

@@ -309,15 +309,17 @@ def _jenks_inputs(rng):
     yield np.array([1.0, -INF, 2.0, INF, 2.0, 0.5, INF])
 
 
-@pytest.mark.parametrize("pairs", [1, 5, tropalg.regression._JENKS_PAIRS])
+@pytest.mark.parametrize("pairs", [1, 5, 64, 256, tropalg.regression._JENKS_PAIRS])
 def test_jenks_breaks_match_scalar_dp(pairs, monkeypatch):
-    # block sizes down to one end index per block give the same breaks
+    # block sizes down to one end index per block, and blocks narrower than
+    # k (64 pairs at n = 17, 256 at n = 60), give the same breaks; so do
+    # k = n and k = n - 1, where the first blocks end before layer k starts
     monkeypatch.setattr(tropalg.regression, "_JENKS_PAIRS", pairs)
     rng = np.random.default_rng(71)
     for vals in _jenks_inputs(rng):
         n = len(vals)
-        ks = {1, 2, min(n, 6), n} if n <= 60 else {1, 2, 6}
-        for k in sorted(k for k in ks if k <= n):
+        ks = {1, 2, min(n, 6), n - 1, n} if n <= 60 else {1, 2, 6}
+        for k in sorted(k for k in ks if 1 <= k <= n):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # means of infinite clusters
                 got, expected = _jenks_breaks(vals, k), jenks_breaks_dp(vals, k)
@@ -334,6 +336,28 @@ def test_jenks_breaks_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("pairs", [500, tropalg.regression._JENKS_PAIRS])
+def test_jenks_breaks_compute_each_sse_once(pairs, monkeypatch):
+    # every (split, end) cost is computed at most once per DP, whatever the
+    # cluster count: the triangle i <= j once, plus the i > j corner of each
+    # block, at most (width - 1) / 2 entries per end
+    monkeypatch.setattr(tropalg.regression, "_JENKS_PAIRS", pairs)
+    sse = tropalg.regression._sse
+    seen = []
+
+    def recording(s1, s2, i, j):
+        seen.extend(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(i, j))))
+        return sse(s1, s2, i, j)
+
+    monkeypatch.setattr(tropalg.regression, "_sse", recording)
+    n = 157
+    width = max(1, pairs // n)
+    _jenks_breaks(np.random.default_rng(2).normal(size=n), 6)
+    below = [(i, j) for i, j in seen if i <= j]
+    assert len(set(below)) == len(below) == n * (n + 1) // 2
+    assert len(seen) <= n * (n + 1) // 2 + n * (width - 1) / 2
 
 
 def test_estimate_slopes_1d_errors():
@@ -468,12 +492,17 @@ def test_estimate_slopes_nd_near_rank_tolerance_like_former():
     assert got.tobytes() == want.tobytes()
 
 
-def test_estimate_slopes_nd_overflowing_coordinates_name_the_sample():
-    # neighbours 3e308 apart are at an infinite distance: the tree reports
-    # them as index m, which must not reach the neighbourhood arrays
-    x = np.random.default_rng(0).uniform(-1, 1, (30, 2)) * 1.5e308
-    with pytest.raises(TropicalError, match=r"neighbour distances of sample 0 \(x = .*e\+307 .*\) overflow"):
-        estimate_slopes_nd(x, x[:, 0] * 0.0, 3)
+def test_estimate_slopes_nd_fits_widely_spread_coordinates():
+    # neighbours more than ~1.3e154 apart have squared distances that
+    # overflow; the neighbours are then found on x scaled by a power of two
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2, 2, (300, 2))
+    f = np.log(np.exp(x).sum(axis=1) + np.exp(-x[:, 0]))
+    want = estimate_slopes_nd(x, f, 5, seed=1)
+    got = estimate_slopes_nd(np.ldexp(x, 600), np.ldexp(f, 600), 5, seed=1)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    wide = rng.uniform(-1, 1, (30, 2)) * 1.5e308  # neighbours up to 3e308 apart
+    assert np.array_equal(estimate_slopes_nd(wide, wide[:, 0] * 0.0, 3), np.zeros((3, 2)))
 
 
 def test_estimate_slopes_nd_overflowing_gradients_name_the_sample():

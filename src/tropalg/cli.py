@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import os
 import sys
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +58,9 @@ class Dataset:
     target_index: int
     provenance: str
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
+        # computed once: a fit reads it several times
         keep = [i for i in range(self.values.shape[1]) if i != self.target_index]
         return self.values[:, keep]
 
@@ -101,41 +105,92 @@ def _cell_array(rows: list[list[str]], lines: list[int], path: str) -> np.ndarra
     return values
 
 
-def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Dataset:
-    """Read a numeric CSV dataset; the last column is the target by default.
+def _has_long_line(path: str, limit: int) -> bool:
+    """Whether a line of the file holds more than ``limit`` bytes.
 
-    Cells must parse as finite reals or ``inf``/``-inf`` literals; ragged or
-    malformed rows are reported with their line number, and so are lines the
-    csv module refuses (such as a cell over its field size limit).  Bytes that
-    are not UTF-8 are reported with the file name.  When a file has several
-    defects, the first in file order is reported.
+    The file is read in blocks of ``limit`` bytes, so a line that lies inside
+    one block is shorter than the limit; only the lines that cross a block
+    edge are measured.
     """
-    path = str(path)
+    last = -1  # offset of the last line break seen
+    offset = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(max(limit, 1)):
+            first = min((i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0), default=len(block))
+            if offset + first - last - 1 > limit:
+                return True
+            if first < len(block):
+                last = offset + max(block.rfind(b"\n"), block.rfind(b"\r"))
+            offset += len(block)
+    return False
+
+
+def _stream_csv(fh, path: str, has_header: bool):
+    """The header cells (or None) and the values of a regular CSV stream, or
+    None when the file needs the csv-module reader.
+
+    A regular file has no line longer than the csv module's field size limit,
+    a header with no quote or NUL and a non-blank cell, and data that numpy's
+    C tokenizer (``np.loadtxt``) reads as one or more rows of header width,
+    with no NaN.  Without a quote the csv module splits a line at each comma,
+    and loadtxt converts each field with ``PyOS_string_to_double``, the
+    correctly rounded routine behind ``float()``, so the values are
+    bit-identical.  A decode error in a later chunk also falls back, so that
+    the csv-module reader can report an earlier defect first.
+    """
+    limit = csv.field_size_limit()
+    if os.fstat(fh.fileno()).st_size > limit and _has_long_line(path, limit):
+        return None
+    try:
+        columns = None
+        if has_header:
+            # with newline="", readline ends the header where the csv module does
+            header = fh.readline()
+            if '"' in header or "\x00" in header:
+                return None
+            columns = [c.strip() for c in header.split(",")]
+            if all(c == "" for c in columns):
+                return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            values = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if len(values) == 0 or (columns is not None and len(columns) != values.shape[1]):
+        return None
+    if np.isnan(values).any():
+        return None
+    return columns, values
+
+
+def _read_csv_cells(fh, path: str, has_header: bool):
+    """The header cells (or None) and the values of a CSV stream, read record
+    by record with the csv module; every reader error message comes from
+    here."""
     rows: list[list[str]] = []
     lines: list[int] = []
     ragged = None
     columns: list[str] | None = None
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for record in reader:
-                lineno = reader.line_num  # the record's last physical line
-                cells = [c.strip() for c in record]
-                if not cells or all(c == "" for c in cells):
-                    continue
-                if columns is None and has_header:
-                    columns = cells
-                    continue
-                if rows and len(cells) != len(rows[0]):
-                    ragged = lineno, cells
-                    break
-                rows.append(cells)
-                lines.append(lineno)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            _cell_array(rows, lines, path)  # a bad cell above the unreadable line comes first
-            if isinstance(exc, csv.Error):
-                raise TropicalError(f"{path}:{reader.line_num}: {exc}") from None
-            raise
+    reader = csv.reader(fh)
+    try:
+        for record in reader:
+            lineno = reader.line_num  # the record's last physical line
+            cells = [c.strip() for c in record]
+            if not cells or all(c == "" for c in cells):
+                continue
+            if columns is None and has_header:
+                columns = cells
+                continue
+            if rows and len(cells) != len(rows[0]):
+                ragged = lineno, cells
+                break
+            rows.append(cells)
+            lines.append(lineno)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        _cell_array(rows, lines, path)  # a bad cell above the unreadable line comes first
+        if isinstance(exc, csv.Error):
+            raise TropicalError(f"{path}:{reader.line_num}: {exc}") from None
+        raise
     if not rows:
         raise TropicalError(f"{path}: no data rows")
     values = _cell_array(rows, lines, path)
@@ -145,7 +200,30 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
         raise TropicalError(
             f"{path}:{lineno}: ragged row has {len(cells)} cells, expected {len(rows[0])}"
         )
-    width = len(rows[0])
+    return columns, values
+
+
+def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Dataset:
+    """Read a numeric CSV dataset; the last column is the target by default.
+
+    Cells must parse as finite reals or ``inf``/``-inf`` literals; ragged or
+    malformed rows are reported with their line number, and so are lines the
+    csv module refuses (such as a cell over its field size limit).  Bytes that
+    are not UTF-8 are reported with the file name.  When a file has several
+    defects, the first in file order is reported.
+
+    A regular numeric file is tokenized by numpy straight from the open file
+    (:func:`_stream_csv`); any other file is re-read by the csv module, which
+    gives the same values and alone writes the messages.
+    """
+    path = str(path)
+    with _open_text(path, newline="") as fh:
+        streamed = _stream_csv(fh, path, has_header)
+        if streamed is None:
+            fh.seek(0)
+            streamed = _read_csv_cells(fh, path, has_header)
+    columns, values = streamed
+    width = values.shape[1]
     if columns is None:
         columns = [f"col{i + 1}" for i in range(width)]
     if len(columns) != width:
@@ -319,11 +397,17 @@ def run_fit(args) -> int:
         pairs.append(("lse_baseline", f"a={a_ls!r} b={b_ls!r} rms={float(np.sqrt(np.mean(res**2)))!r}"))
     pairs.append(("warnings", "; ".join(report.warnings) if report.warnings else "none"))
 
+    # every text is built before stdout or any file is written, so an error
+    # in formatting leaves no output behind; the model text is reprs of
+    # validated floats and cannot fail
+    report_text = _report_lines("fit", pairs)
+    grid_text = _model_grid(report, data, args.grid)
+    residual_text = _residual_table(report, data)
     out = args.out or str(Path(args.data).with_suffix("")) + f".{args.method}"
-    _emit(_report_lines("fit", pairs), out + ".report.txt")
+    _emit(report_text, out + ".report.txt")
     write_polynomial(out + ".model.txt", report.model)
-    Path(out + ".grid.txt").write_text(_model_grid(report, data, args.grid), encoding="utf-8")
-    Path(out + ".residuals.txt").write_text(_residual_table(report, data), encoding="utf-8")
+    Path(out + ".grid.txt").write_text(grid_text, encoding="utf-8")
+    Path(out + ".residuals.txt").write_text(residual_text, encoding="utf-8")
     return 0
 
 
@@ -446,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", default=None, help="output prefix for report/model/plot files")
     p_fit.add_argument("--grid", type=int, default=101, help="grid points per axis for the model surface")
     p_fit.add_argument("--sweep-k", type=_sweep_range, default=None, metavar="MIN:MAX")
-    p_fit.set_defaults(func=run_fit)
 
     p_solve = sub.add_parser("solve", help="solve A (*) x = b from tropmat files")
     p_solve.add_argument("matrix")
@@ -454,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=("gle", "mmae"), default="gle")
     p_solve.add_argument("--tol", type=float, default=None, help="residual tolerance for the exact flag")
     p_solve.add_argument("--out", default=None)
-    p_solve.set_defaults(func=run_solve)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial file at points")
     p_eval.add_argument("poly")
@@ -463,22 +545,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--target", default=None)
     p_eval.add_argument("--no-header", action="store_true")
     p_eval.add_argument("--out", default=None)
-    p_eval.set_defaults(func=run_eval)
 
     p_poly = sub.add_parser("polytope", help="Newton polytopes, joins and Minkowski sums")
     p_poly.add_argument("polys", nargs="+", help="polynomial files")
     p_poly.add_argument("--tol", type=float, default=None)
     p_poly.add_argument("--out", default=None)
-    p_poly.set_defaults(func=run_polytope)
 
     return parser
 
 
+# built once per process, at import, and reused by every ``main`` call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up at each call, not bound into the parser at import, so a
+    # wrapper later set on this module (a tracer, a test double) is what runs
+    run = {"fit": run_fit, "solve": run_solve, "eval": run_eval, "polytope": run_polytope}[args.command]
     try:
-        return args.func(args)
+        return run(args)
     except TropicalError as exc:
         print(f"tropalg: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,11 +1,14 @@
 """Command-line interface: ingestion, subcommands, determinism, round-trips."""
 
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -180,6 +183,172 @@ def test_fit_unreadable_csv_is_usage_error(tmp_path, capsys, body, message):
     rc = main(["fit", str(p), "--out", str(tmp_path / "run")])
     assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {p}{message}\n"
     assert not list(tmp_path.glob("run*"))
+
+
+def _reference_outcome(path, **kw):
+    """The per-cell reader's outcome, with a csv-module error named by the
+    physical line the csv module stopped on, as ``ingest_csv`` names it."""
+    try:
+        return _ingest_outcome(ingest_csv_per_cell, path, **kw)
+    except csv.Error as exc:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            with contextlib.suppress(csv.Error):
+                for _ in reader:
+                    pass
+        return "error", f"{path}:{reader.line_num}: {exc}"
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-10**9, 10**9).map(str),
+    st.sampled_from(["inf", "-inf", "0.0", "-0.0"]),
+)
+_SPACED_NUMBER = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _NUMBER,
+                           st.sampled_from(["", " ", "\t "])).map("".join)
+_STREAM_DEFECTS = [None, "1_0", "arabic-digit", "bom", "ideographic-space", "nul", "lone-cr", "quoted",
+                   "over-limit"]
+
+
+@st.composite
+def _numeric_csv(draw):
+    """Mostly regular numeric CSV text, with at most one defect that the C
+    tokenizer refuses or must not be trusted with, and often all-blank
+    records first, which the csv module skips."""
+    width = draw(st.integers(1, 4))
+    lines = [[f"c{j}" for j in range(width)]] if draw(st.booleans()) else []
+    lines += draw(st.lists(st.lists(_SPACED_NUMBER, min_size=width, max_size=width), max_size=10))
+    eols = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    defect = draw(st.sampled_from(_STREAM_DEFECTS))
+    if lines and defect not in (None, "bom", "lone-cr"):
+        row = lines[draw(st.integers(0, len(lines) - 1))]
+        j = draw(st.integers(0, width - 1))
+        row[j] = {
+            "1_0": "1_0",
+            "arabic-digit": "\u0661",
+            "ideographic-space": f"\u3000{row[j]}\u3000",
+            "nul": f"{row[j]}\x00",
+            "quoted": f'"{row[j]}"',
+            "over-limit": "9" * (csv.field_size_limit() + 1),
+        }[defect]
+    if lines and defect == "lone-cr":
+        eols[draw(st.integers(0, len(lines) - 1))] = "\r"
+    text = "".join(",".join(cells) + eol for cells, eol in zip(lines, eols))
+    if draw(st.booleans()):
+        blank = ",".join([" "] * width)
+        text = draw(st.sampled_from(["\n", f"{blank}\n", f"{blank}\r\n\n"])) + text
+    if defect == "bom":
+        text = "\ufeff" + text
+    return text + draw(st.sampled_from(["", "\n", "\r\n\r\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_numeric_csv(), has_header=st.booleans(), target=st.sampled_from([None, "c0"]))
+def test_ingest_streamed_path_matches_per_cell_reader(text, has_header, target):
+    # the same columns and value bytes, or the same message, whichever path
+    # the file takes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        kw = {"has_header": has_header, "target": target}
+        assert _ingest_outcome(ingest_csv, path, **kw) == _reference_outcome(path, **kw)
+
+
+@pytest.mark.parametrize("text, has_header, streamed", [
+    ("x,y\n1,2\n3,4\n", True, True),
+    ("x,y\r\n1,2\r\n3,4\r\n\r\n\r\n", True, True),
+    (" x , y \n 1 ,\t2 \n\u30003,4\u3000\n", True, True),
+    ("x,y\n-inf,inf\n-0.0,5e-324\n1e400,-7\n", True, True),
+    ("x,y\r1,2\r3,4\r", True, True),
+    ("\n\n1,2\n\n3,4\n\n", False, True),
+    ("x\n1\n", True, True),  # one column: streamed, then refused for its width
+    ("x,y\n1_0,2\n", True, False),
+    ("x,y\n\u0661,2\n", True, False),
+    ("x,y\n\"1\",2\n", True, False),
+    ('"x",y\n1,2\n', True, False),
+    ("x\x00,y\n1,2\n", True, False),
+    (" , \nx,y\n1,2\n", True, False),
+    ("\nx,y\n1,2\n", True, False),
+    (" , \n1,2\n3,4\n", True, False),
+    (" , \n1,2\n3,4\n", False, False),
+    ("\n1\n2\n", True, False),
+    ("\ufeff1,2\n", False, False),
+    ("x,y\n1,nan\n", True, False),
+    ("x,y\n", True, False),
+    ("x,y,z\n1,2\n", True, False),
+    ("x,y\n1,2\n3\n", True, False),
+    ("x,y\n1,2\n3,\n", True, False),
+    ("x,y\n1,2\n3,4\n" + "5," + "9" * (csv.field_size_limit() + 1) + "\n", True, False),
+], ids=lambda v: repr(v)[:40])
+def test_csv_stream_or_csv_module(monkeypatch, tmp_path, text, has_header, streamed):
+    calls = []
+    csv_module_reader = tropalg.cli._read_csv_cells
+    monkeypatch.setattr(tropalg.cli, "_read_csv_cells",
+                        lambda *a: calls.append(a) or csv_module_reader(*a))
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    got = _ingest_outcome(ingest_csv, path, has_header=has_header)
+    assert len(calls) == (0 if streamed else 1)
+    assert got == _reference_outcome(path, has_header=has_header)
+
+
+def test_ingest_nan_above_undecodable_bytes_wins(tmp_path):
+    # the tokenizer reads a NaN without complaint, then meets the bytes that
+    # do not decode; the csv-module reader reports the NaN first
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"x,y\n1,nan\n" + b"3,4\n" * 5000 + b"5,\xff\n")
+    with pytest.raises(TropicalError, match=r":2: NaN is not a valid cell value$"):
+        ingest_csv(p)
+
+
+def test_ingest_long_line_of_short_cells(tmp_path):
+    # the line-length pass sends a line over the field size limit to the csv
+    # module, which reads it, since none of its cells is over the limit
+    row = ",".join(["1.5"] * (csv.field_size_limit() // 4 + 1))
+    path = tmp_path / "d.csv"
+    path.write_text(f"{row}\n{row}\n", encoding="utf-8")
+    ds = ingest_csv(path, has_header=False)
+    assert ds.values.shape == (2, csv.field_size_limit() // 4 + 1)
+    assert ds.values.tobytes() == ingest_csv_per_cell(path, has_header=False).values.tobytes()
+
+
+def test_long_line_scan_matches_a_split(tmp_path):
+    # the block scan measures lines across block edges as a split would,
+    # for limits far below the line lengths and above them
+    rng = np.random.default_rng(3)
+    path = tmp_path / "f"
+    for _ in range(2000):
+        data = bytes(rng.choice(list(b"ab\n\rxyz"), size=rng.integers(0, 60)).tolist())
+        limit = int(rng.integers(1, 13))
+        path.write_bytes(data)
+        lines = data.replace(b"\r", b"\n").split(b"\n")
+        assert tropalg.cli._has_long_line(str(path), limit) == any(len(ln) > limit for ln in lines)
+
+def test_ingest_peak_memory_is_a_small_multiple_of_the_values(tmp_path):
+    # the csv-module reader holds every cell as a string, over ten times the
+    # values' bytes; the tokenizer fills the value array from the stream
+    rng = np.random.default_rng(23)
+    vals = rng.normal(0, 10, (100_000, 3))
+    path = tmp_path / "d.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("a,b,f\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in vals.tolist())
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values.tobytes() == vals.tobytes()
+    assert peak <= 2 * vals.nbytes
+
+
+def test_dataset_features_are_computed_once(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,t,b\n1,2,3\n4,5,6\n", encoding="utf-8")
+    ds = ingest_csv(p, target="t")
+    assert ds.features is ds.features
+    assert ds.features.tolist() == [[1.0, 3.0], [4.0, 6.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -708,3 +877,86 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, no state across calls
+
+
+def test_main_does_not_build_a_parser(monkeypatch, line_csv, tmp_path, capsys):
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(tropalg.cli, "build_parser", build_parser)
+    assert main(["fit", str(line_csv), "--out", str(tmp_path / "run")]) == 0
+    assert "slope_source" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("fit", ["fit", "d.csv"]),
+    ("solve", ["solve", "A.txt", "b.txt"]),
+    ("eval", ["eval", "p.txt", "--at", "1"]),
+    ("polytope", ["polytope", "p.txt"]),
+])
+def test_main_runs_the_handler_the_module_holds_now(monkeypatch, command, argv):
+    # a wrapper set on the module after import (a tracer, a test double) runs
+    seen = []
+    monkeypatch.setattr(tropalg.cli, f"run_{command}", lambda args: seen.append(args.command) or 0)
+    assert main(argv) == 0
+    assert seen == [command]
+
+def test_consecutive_main_calls_share_no_state(line_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+
+    def plain_fit():
+        assert main(["fit", str(line_csv), "--out", str(out)]) == 0
+        files = [Path(f"{out}.{s}.txt").read_bytes() for s in ("report", "model", "grid", "residuals")]
+        return capsys.readouterr().out, files
+
+    first = plain_fit()
+    assert "method: gle" in first[0]
+    assert main(["fit", str(line_csv), "--sweep-k", "1:3", "--method", "mmae", "--seed", "4"]) == 0
+    assert "sweep: 1:3" in capsys.readouterr().out
+    assert plain_fit() == first
+    _write_system(tmp_path)
+    assert main(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b.txt"), "--method", "mmae",
+                 "--tol", "0.5", "--out", str(tmp_path / "solve.txt")]) == 0
+    assert "mu: 0.5" in capsys.readouterr().out
+    assert plain_fit() == first
+
+
+def test_fit_formatting_error_leaves_no_output(monkeypatch, line_csv, tmp_path, capsys):
+    def residual_table(report, data):
+        raise TropicalError("cannot format the residuals")
+
+    monkeypatch.setattr(tropalg.cli, "_residual_table", residual_table)
+    rc = main(["fit", str(line_csv), "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", "tropalg: error: cannot format the residuals\n")
+    assert not list(tmp_path.glob("run*"))
+
+
+_SLOPE_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1_0", "\u0661", "x", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([1, 2]),
+       rows=st.lists(st.lists(_SLOPE_TOKENS, max_size=3).map(" ".join), max_size=4))
+def test_fit_random_slope_files_exit_0_or_2(dims, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "d.csv"
+        x = np.linspace(-1, 2, 12)
+        table = np.column_stack([x, np.abs(x)]) if dims == 1 else np.column_stack([x, x[::-1], x**2])
+        data.write_text("\n".join(",".join(map(repr, r)) for r in table.tolist()) + "\n",
+                        encoding="utf-8")
+        slopes = Path(tmp) / "slopes.txt"
+        slopes.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["fit", str(data), "--no-header", "--slopes", str(slopes),
+                       "--method", "mmae", "--out", str(Path(tmp) / "run")])
+        assert rc in (0, 2)
+        assert (rc == 2) == err.getvalue().startswith("tropalg: error:")

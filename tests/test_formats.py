@@ -213,6 +213,28 @@ def test_polynomial_format_shape():
     assert term == "1.0 2.0 | -inf"
 
 
+_POLY_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "5e-324", "-0.0", "1_0", "\u0661", "x", "|", "||", ""]),
+)
+_POLY_HEADS = st.sampled_from([
+    "troppoly max max-plus", "troppoly min max-plus", "troppoly max max-min", "troppoly min max-times",
+    "troppoly max max-softmin:0.5", "troppoly max max-softmin:x", "troppoly sideways max-plus",
+    "troppoly max", "troppoly", "troppoly max max-plus extra", "tropmat 1 1 max-plus", "",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(head=_POLY_HEADS, terms=st.lists(st.lists(_POLY_TOKENS, max_size=4).map(" ".join), max_size=5))
+def test_parse_polynomial_raises_only_tropical_error(head, terms):
+    try:
+        poly = parse_polynomial("\n".join([head, *terms]) + "\n")
+    except TropicalError:
+        return
+    assert poly.slopes.shape == (len(poly.intercepts), poly.dimension)
+
+
 def test_polynomial_parse_errors():
     with pytest.raises(TropicalError):
         parse_polynomial("troppoly max max-plus\n1 2 3\n")  # missing separator

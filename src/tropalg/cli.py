@@ -203,6 +203,23 @@ def _read_csv_cells(fh, path: str, has_header: bool):
     return columns, values
 
 
+def _read_csv(path: str, has_header: bool) -> tuple[list[str], np.ndarray]:
+    """The column names (``col1``, ... without a header) and the values of a
+    numeric CSV file of any width; see :func:`ingest_csv`."""
+    with _open_text(path, newline="") as fh:
+        streamed = _stream_csv(fh, path, has_header)
+        if streamed is None:
+            fh.seek(0)
+            streamed = _read_csv_cells(fh, path, has_header)
+    columns, values = streamed
+    width = values.shape[1]
+    if columns is None:
+        columns = [f"col{i + 1}" for i in range(width)]
+    if len(columns) != width:
+        raise TropicalError(f"{path}: header has {len(columns)} names for {width} columns")
+    return columns, values
+
+
 def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Dataset:
     """Read a numeric CSV dataset; the last column is the target by default.
 
@@ -217,17 +234,8 @@ def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Data
     gives the same values and alone writes the messages.
     """
     path = str(path)
-    with _open_text(path, newline="") as fh:
-        streamed = _stream_csv(fh, path, has_header)
-        if streamed is None:
-            fh.seek(0)
-            streamed = _read_csv_cells(fh, path, has_header)
-    columns, values = streamed
+    columns, values = _read_csv(path, has_header)
     width = values.shape[1]
-    if columns is None:
-        columns = [f"col{i + 1}" for i in range(width)]
-    if len(columns) != width:
-        raise TropicalError(f"{path}: header has {len(columns)} names for {width} columns")
     if width < 2:
         raise TropicalError(f"{path}: need at least one feature column and one target column")
     if target is None:
@@ -353,16 +361,10 @@ def _residual_table(report: FitReport, data: Dataset) -> str:
 def run_fit(args) -> int:
     if args.grid < 1:
         raise TropicalError(f"--grid needs at least 1 point per axis, got {args.grid}")
+    if args.sweep_k and args.slopes is not None:
+        raise TropicalError("--sweep-k and --slopes cannot be combined: a sweep fits auto:K for each K")
     data = ingest_csv(args.data, has_header=not args.no_header, target=args.target)
     clodum = Clodum.parse(args.clodum)
-    if args.slopes is None:
-        width = data.features.shape[1]
-        if width in (1, 2) or args.sweep_k:
-            args.slopes = "line" if width == 1 else "plane"
-        else:
-            raise TropicalError("datasets with more than two features need an explicit --slopes")
-    slope_arg = _resolve_slope_arg(args.slopes, args.seed)
-
     pairs = [
         ("dataset", data.provenance),
         ("samples", data.num_samples),
@@ -377,12 +379,20 @@ def run_fit(args) -> int:
         lo, hi = args.sweep_k
         pairs.append(("sweep", f"{lo}:{hi}"))
         counts = range(lo, hi + 1)
-        fits = _sweep_fits(data.features, data.target, counts, clodum, args.method, args.seed)
+        problem = FitProblem(data.features, data.target, AutoSlopes(lo, args.seed), clodum)
+        fits = _sweep_fits(problem, args.method, counts)
         for k, rep in zip(counts, fits):
             pairs.append((f"sweep[{k}]", f"rms={rep.rms_error!r} linf={rep.linf_error!r}"))
         _emit(_report_lines("fit", pairs), None)
         return 0
 
+    slopes = args.slopes
+    if slopes is None:
+        width = data.features.shape[1]
+        if width > 2:
+            raise TropicalError("datasets with more than two features need an explicit --slopes")
+        slopes = "line" if width == 1 else "plane"
+    slope_arg = _resolve_slope_arg(slopes, args.seed)
     report = _fit_once(data, clodum, args.method, slope_arg, args.seed)
     pairs.append(("slope_source", report.slope_source))
     pairs.append(("terms", report.model.rank))
@@ -454,12 +464,23 @@ def run_eval(args) -> int:
     else:
         if not args.data:
             raise TropicalError("eval needs --at or a dataset")
-        data = ingest_csv(args.data, has_header=not args.no_header, target=args.target)
-        pts = data.features
-        if pts.shape[1] != poly.dimension:
-            raise TropicalError(
-                f"polynomial has dimension {poly.dimension} but dataset provides {pts.shape[1]} features"
-            )
+        dim = poly.dimension
+        if args.target is not None:
+            pts = ingest_csv(args.data, has_header=not args.no_header, target=args.target).features
+            if pts.shape[1] != dim:
+                raise TropicalError(
+                    f"polynomial has dimension {dim} but dataset provides {pts.shape[1]} features"
+                )
+        else:
+            # the points, or the points and then a target column; the copy is
+            # C-ordered, as the features of a dataset are
+            values = _read_csv(args.data, not args.no_header)[1]
+            if values.shape[1] not in (dim, dim + 1):
+                raise TropicalError(
+                    f"{args.data}: {values.shape[1]} columns, but a polynomial of dimension {dim} "
+                    f"takes {dim} (points) or {dim + 1} (points, then a target)"
+                )
+            pts = np.ascontiguousarray(values[:, :dim])
     _emit(_table_text(pts, np.atleast_1d(poly.evaluate(pts))), args.out)
     return 0
 
@@ -540,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial file at points")
     p_eval.add_argument("poly")
-    p_eval.add_argument("--data", default=None, help="CSV of points (features only are used)")
+    p_eval.add_argument("--data", default=None, help="CSV of points, optionally with a target column last")
     p_eval.add_argument("--at", default=None, help="comma-separated coordinates of one point")
     p_eval.add_argument("--target", default=None)
     p_eval.add_argument("--no-header", action="store_true")

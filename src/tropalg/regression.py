@@ -1,17 +1,20 @@
 """Convex piecewise-linear regression with max-affine models.
 
-Fitting happens in two stages: slope vectors are either supplied or estimated
-by clustering numerical derivatives (1-D uses natural-breaks clustering of
-finite differences, higher dimensions cluster local least-squares gradients
-with seeded k-means), and then the optimal intercepts come in closed form
-as the solution of the design system X (*) b = f, where column k of X is
-term k before its intercept: X is built by the same routine that evaluates
-the fitted polynomial.  Line, plane and max-affine fits all solve it
-through the same GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the
-GLE fit touches the data from below and minimizes every l_p residual norm
-among from-below fits, while the MMAE fit (max-plus) shifts it up by half
-its l_inf error, reaching the unconstrained l_inf optimum.  Tropical line
-and plane fits are provided for every supported clodum.
+Fitting happens in two stages.  First the slope vectors are supplied or
+estimated from the data's derivatives, which itself takes two steps: a pool
+of candidates is taken once (finite differences of 1-D data, local
+least-squares gradients of n-D data), and a selection reduces the pool to K
+slopes (natural-breaks clustering in 1-D, seeded k-means in n-D).  A single
+fit selects for one K, and a sweep over K selects from the same pool for
+each K.  Then the optimal intercepts come in closed form as the solution of
+the design system X (*) b = f, where column k of X is term k before its
+intercept: X is built by the same routine that evaluates the fitted
+polynomial.  Line, plane and max-affine fits all solve it through the same
+GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the GLE fit touches
+the data from below and minimizes every l_p residual norm among from-below
+fits, while the MMAE fit (max-plus) shifts it up by half its l_inf error,
+reaching the unconstrained l_inf optimum.  Tropical line and plane fits are
+provided for every supported clodum.
 """
 
 from __future__ import annotations
@@ -214,6 +217,15 @@ def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitRepor
     return _fit_terms(xy, f, slopes, clodum, method, "given")
 
 
+def _check_max_affine(clodum: Clodum, method: str) -> None:
+    if clodum != MAX_PLUS:
+        raise UnsupportedClodumError(
+            "fit_max_affine composes general slope vectors and needs max-plus; "
+            "use fit_line/fit_plane for other cloda"
+        )
+    _check_method(method, clodum)
+
+
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     """Fit a K-term max-affine model with optimal intercepts.
 
@@ -222,46 +234,33 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     b_k = inf_i (f_i - X_ik); the whole intercept solve is one pass over the
     data, O(K m n).  MMAE adds half the GLE l_inf error to every intercept.
     """
-    return _fit_max_affine(problem, method, estimate_slopes_1d)
-
-
-def _fit_max_affine(problem: FitProblem, method: str, slopes_1d) -> FitReport:
-    """``fit_max_affine`` with ``slopes_1d`` in place of ``estimate_slopes_1d``."""
-    if problem.clodum != MAX_PLUS:
-        raise UnsupportedClodumError(
-            "fit_max_affine composes general slope vectors and needs max-plus; "
-            "use fit_line/fit_plane for other cloda"
-        )
-    _check_method(method, problem.clodum)
-    if isinstance(problem.slopes, GivenSlopes):
-        slopes = problem.slopes.values
-        source = "given"
-        if slopes.shape[1] != problem.dimension:
+    _check_max_affine(problem.clodum, method)
+    x, f, policy = problem.inputs, problem.targets, problem.slopes
+    if isinstance(policy, GivenSlopes):
+        if policy.values.shape[1] != problem.dimension:
             raise DimensionMismatchError("slope vectors and samples disagree on dimension")
-    elif problem.dimension == 1:
-        slopes = slopes_1d(
-            problem.inputs[:, 0], problem.targets, problem.slopes.count, problem.slopes.seed
-        )[:, None]
-        source = "jenks"
-    else:
-        slopes = estimate_slopes_nd(
-            problem.inputs, problem.targets, problem.slopes.count, problem.slopes.seed
-        )
-        source = "kmeans"
-    return _fit_terms(problem.inputs, problem.targets, slopes, MAX_PLUS, method, source)
+        return _fit_terms(x, f, policy.values, MAX_PLUS, method, "given")
+    estimate, source = ((estimate_slopes_1d, "jenks") if problem.dimension == 1
+                        else (estimate_slopes_nd, "kmeans"))
+    slopes = estimate(x, f, policy.count, policy.seed).reshape(policy.count, -1)
+    return _fit_terms(x, f, slopes, MAX_PLUS, method, source)
 
 
-def _sweep_fits(x, f, counts: range, clodum: Clodum, method: str, seed: int):
-    """``fit_max_affine(FitProblem(x, f, AutoSlopes(k, seed), clodum), method)``
-    for each k of ``counts`` in turn, as a generator.
+def _sweep_fits(problem: FitProblem, method: str, counts: range):
+    """``fit_max_affine`` of ``problem`` with ``AutoSlopes(k, seed)`` for each
+    k of ``counts`` in turn, as a generator; ``problem`` holds the first k.
 
-    With one feature, the derivatives and one natural-breaks DP for the
-    largest count serve every k (see ``_SharedJenks``); each report, and the
-    first error, are those of the separate fits.
+    The slopes come from ``_slope_sets``, which takes the candidate pool once
+    for all k, so each report, and the first error, are those of the separate
+    fits.  The problem is checked at the first k only: its one check that
+    depends on k, k <= m, never fails first at a later k, because every k >= m
+    already fails the estimator's own sample count check.
     """
-    slopes_1d = _SharedJenks(max(counts))
-    for k in counts:
-        yield _fit_max_affine(FitProblem(x, f, AutoSlopes(k, seed), clodum), method, slopes_1d)
+    _check_max_affine(problem.clodum, method)
+    x, f = problem.inputs, problem.targets
+    one = problem.dimension == 1
+    for slopes in _slope_sets(x[:, 0] if one else x, f, counts, problem.slopes.seed):
+        yield _fit_terms(x, f, slopes, MAX_PLUS, method, "jenks" if one else "kmeans")
 
 
 # ---------------------------------------------------------------------------
@@ -371,47 +370,51 @@ def _jenks_breaks(values: np.ndarray, k: int) -> np.ndarray:
     return _jenks_means(*_jenks_table(values, k), k)
 
 
-class _SharedJenks:
-    """``estimate_slopes_1d`` of one set of samples, at any count up to ``top``.
-
-    The first call that passes the sample count check takes the derivatives;
-    the first that passes the derivative count check runs one natural-breaks
-    DP for ``top`` clusters, or as many as there are derivatives.  Every call
-    then backtracks for its own count.  Row c of the DP does not depend on the
-    count it was run for, so each result is bit for bit what
-    ``estimate_slopes_1d`` gives, and each call makes the same checks in the
-    same order, so it raises the same error.  Every call must pass the same
-    samples.
-    """
-
-    def __init__(self, top: int) -> None:
-        self.top = top
-        self.derivs = None
-        self.table = None
-
-    def __call__(self, x, f, count: int, seed: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        f = np.asarray(f, dtype=float).reshape(-1)
-        if x.shape != f.shape:
-            raise DimensionMismatchError("x and f must have equal length")
-        if len(x) < count + 1:
-            raise TropicalError(f"need at least {count + 1} samples for {count} slopes")
-        if self.derivs is None:
-            self.derivs = _numerical_derivatives(x, f)
-        if count > len(self.derivs):
-            raise TropicalError(f"only {len(self.derivs)} derivative samples for {count} clusters")
-        if self.table is None:
-            self.table = _jenks_table(self.derivs, min(self.top, len(self.derivs)))
-        return _jenks_means(*self.table, count)
-
-
 def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     """Slope candidates for 1-D data: natural breaks of the derivative estimates.
 
     The clustering is an exact 1-D k-means, so the result is deterministic;
     ``seed`` is accepted for interface symmetry with the n-D estimator.
     """
-    return _SharedJenks(count)(x, f, count)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    f = np.asarray(f, dtype=float).reshape(-1)
+    if x.shape != f.shape:
+        raise DimensionMismatchError("x and f must have equal length")
+    return next(_slope_sets(x, f, [count], seed))[:, 0]
+
+
+def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
+    """Estimated slope rows for each count of ``counts`` in turn, as a
+    generator: natural breaks of the finite differences of abscissae ``x``
+    (1-D), or k-means, seeded afresh from ``seed``, of the local gradients of
+    samples ``x`` (one per row).
+
+    The pool (the differences, or ``_gradient_pool``) is taken once, and the
+    natural-breaks DP runs once, for the largest count: row c of its table
+    does not depend on the count it was run for.  Each count makes the checks
+    of a separate estimate in the same order (sample count, the pool's own at
+    the first count that reaches them, pool size), so every result and the
+    first error are bit for bit those of ``estimate_slopes_1d`` or
+    ``estimate_slopes_nd`` at that count alone.
+    """
+    one = x.ndim == 1
+    m, n = len(x), 1 if one else x.shape[1]
+    pool = table = None
+    for count in counts:
+        if m < count + n:
+            where = "" if one else f" in {n}-D"
+            raise TropicalError(f"need at least {count + n} samples for {count} slopes{where}")
+        if pool is None:
+            pool = _numerical_derivatives(x, f) if one else _gradient_pool(x, f)
+        if count > len(pool):
+            kind = "derivative" if one else "gradient"
+            raise TropicalError(f"only {len(pool)} {kind} samples for {count} clusters")
+        if not one:
+            yield _kmeans(pool, count, np.random.default_rng(seed))
+            continue
+        if table is None:
+            table = _jenks_table(pool, min(max(counts), len(pool)))
+        yield _jenks_means(*table, count)[:, None]
 
 
 def _sq_sum(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -634,30 +637,36 @@ def _sample_text(x: np.ndarray, i: int) -> str:
 def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     """Slope candidates for n-D data: k-means centroids of local gradients.
 
-    Each sample's gradient comes from a least-squares affine fit over its
-    max(n+2, 8) nearest neighbours; rank-deficient neighbourhoods are skipped
-    with a warning.  One batched SVD per neighbourhood gives both the rank
-    test and the pseudo-inverse, bit for bit what ``np.linalg.matrix_rank``
-    and ``np.linalg.pinv`` give (see ``_gradients``).  Clustering uses
-    k-means++ initialization from ``seed`` and Lloyd steps that skip the
-    distance rows their bounds settle (see ``_kmeans``).
-
-    When the squared neighbour distances of x overflow, the neighbours and
-    gradients are taken on x scaled by a power of two, exactly, so finite
-    coordinates of any spread can be fitted; every other input gives the same
-    slopes as without this step, bit for bit.  Gradients that overflow or are
-    too large for k-means to sum their squared distances raise
-    :class:`TropicalError` naming the sample.
+    The gradients come from ``_gradient_pool``; clustering uses k-means++
+    initialization from ``seed`` and Lloyd steps that skip the distance rows
+    their bounds settle (see ``_kmeans``).
     """
-    from scipy.spatial import cKDTree  # heavy import, needed only here
-
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != len(f):
         raise DimensionMismatchError("x must be (m, n) with one target per sample")
+    return next(_slope_sets(x, f, [count], seed))
+
+
+def _gradient_pool(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The local gradients of n-D samples, one row per full-rank neighbourhood.
+
+    Each sample's gradient comes from a least-squares affine fit over its
+    max(n+2, 8) nearest neighbours.  One batched SVD per neighbourhood gives
+    both the rank test and the pseudo-inverse, bit for bit what
+    ``np.linalg.matrix_rank`` and ``np.linalg.pinv`` give (see
+    ``_gradients``); rank-deficient neighbourhoods are skipped with a warning.
+
+    When the squared neighbour distances of x overflow, the neighbours and
+    gradients are taken on x scaled by a power of two, exactly, so finite
+    coordinates of any spread can be fitted; every other input gives the same
+    gradients as without this step, bit for bit.  Gradients that overflow or
+    are too large for k-means to sum their squared distances raise
+    :class:`TropicalError` naming the sample.
+    """
+    from scipy.spatial import cKDTree  # heavy import, needed only here
+
     m, n = x.shape
-    if m < count + n:
-        raise TropicalError(f"need at least {count + n} samples for {count} slopes in {n}-D")
     k_nn = min(max(n + 2, 8), m)
     xs, shift = x, 0
     reach, idx = cKDTree(xs).query(xs, k=k_nn)
@@ -691,9 +700,7 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
         raise TropicalError(
             f"the gradient at {_sample_text(x, int(rows[np.argmax(size)]))} is too large to cluster"
         )
-    if count > len(gradients):
-        raise TropicalError(f"only {len(gradients)} gradient samples for {count} clusters")
-    return _kmeans(gradients, count, np.random.default_rng(seed))
+    return gradients
 
 
 def least_squares_line(x, f) -> tuple[float, float]:

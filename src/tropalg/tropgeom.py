@@ -167,7 +167,8 @@ def _selected_coordinates(slopes: np.ndarray) -> np.ndarray | None:
     hot = slopes == 1.0
     if not (((slopes == 0.0) | hot).all() and (hot.sum(axis=1) <= 1).all()):
         return None
-    return np.where(hot.any(axis=1), hot.argmax(axis=1), slopes.shape[1])
+    # a zero row's first True is the appended column n, also when n = 0
+    return np.argmax(np.column_stack([hot, ~hot.any(axis=1)]), axis=1)
 
 
 def _term_design(X: np.ndarray, slopes: np.ndarray, fill: float) -> np.ndarray:

@@ -533,6 +533,87 @@ def test_fit_sweep_past_the_derivative_count_fails_like_the_fit(tmp_path, capsys
     assert capsys.readouterr() == ("", message)
 
 
+def _write_table(path, table):
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in np.asarray(table, float).tolist()),
+                    encoding="utf-8")
+    return path
+
+
+def _sweep_datasets():
+    """Small datasets for the sweep, each with a defect that a sweep can reach."""
+    rng = np.random.default_rng(11)
+    x1 = np.sort(rng.uniform(-3, 3, 24))
+    dup = np.repeat(np.arange(8.0), [1, 3, 1, 2, 1, 1, 3, 1])  # 8 distinct of 13
+    plane = rng.uniform(-1, 1, (36, 2))
+    t = np.arange(14.0)
+    return {
+        "1d": np.column_stack([x1, np.abs(x1) + 0.01 * np.sin(9 * x1)]),
+        "1d-duplicate-abscissae": np.column_stack([dup, dup**2 + 0.1 * np.arange(13)]),
+        "1d-too-few": np.column_stack([[0.0, 1.0, 3.0, 4.0], [1.0, 0.0, 2.0, 5.0]]),
+        "2d": np.column_stack([plane, np.logaddexp(plane[:, 0], -plane.sum(axis=1))]),
+        # a line of 14 samples: the neighbourhoods on it are rank-deficient
+        "2d-rank-deficient": np.vstack([np.column_stack([t, 2 * t, t**2]),
+                                        np.column_stack([20 + rng.uniform(size=(10, 2)), rng.uniform(size=10)])]),
+        "2d-collinear": np.column_stack([t, 2 * t, t**2]),
+        "2d-too-few": np.column_stack([plane[:7], plane[:7, 0] ** 2]),
+    }
+
+
+def _expected_sweep(data, counts, clodum, method, seed):
+    """The sweep lines and standard error of separate fits: every line, or
+    no line and the first error."""
+    lines = []
+    for k in counts:
+        try:
+            rep = _fit_once(data, clodum, method, AutoSlopes(k, seed), seed)
+        except TropicalError as exc:
+            return [], f"tropalg: error: {exc}\n"
+        lines.append(f"sweep[{k}]: rms={rep.rms_error!r} linf={rep.linf_error!r}")
+    return lines, ""
+
+
+@pytest.mark.parametrize("name", list(_sweep_datasets()))
+def test_fit_sweep_equals_separate_fits_or_their_first_error(name, tmp_path, capsys):
+    path = _write_table(tmp_path / "d.csv", _sweep_datasets()[name])
+    data = ingest_csv(path, has_header=False)
+    m = data.num_samples
+    rng = np.random.default_rng(len(name))
+    ranges = [(1, 4), (m + 1, m + 3)]  # and lo > m
+    ranges += [tuple(sorted(rng.integers(1, m + 4, 2))) for _ in range(4)]
+    cases = [(lo, hi, clodum, method, int(rng.integers(0, 5)))
+             for lo, hi in ranges
+             for clodum, method in [("max-plus", "gle"), ("max-plus", "mmae"), ("max-min", "gle")]]
+    for lo, hi, clodum, method, seed in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # skipped neighbourhoods
+            lines, message = _expected_sweep(data, range(lo, hi + 1), tropalg.Clodum.parse(clodum), method, seed)
+            rc = main(["fit", str(path), "--no-header", "--sweep-k", f"{lo}:{hi}", "--clodum", clodum,
+                       "--method", method, "--seed", str(seed)])
+        out, err = capsys.readouterr()
+        got = [ln for ln in out.splitlines() if ln.startswith("sweep[")]
+        assert (rc, got, err) == (2 if message else 0, lines, message), (lo, hi, clodum, method)
+
+
+def test_fit_sweep_2d_takes_the_gradients_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    gradients = tropalg.regression._gradients
+    monkeypatch.setattr(tropalg.regression, "_gradients", lambda *a: calls.append(1) or gradients(*a))
+    path = _write_table(tmp_path / "d.csv", _sweep_datasets()["2d"])
+    assert main(["fit", str(path), "--no-header", "--sweep-k", "1:8"]) == 0
+    assert sum(ln.startswith("sweep[") for ln in capsys.readouterr().out.splitlines()) == 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("slopes", ["line", "plane", "auto:2", "slopes.txt"])
+def test_fit_sweep_takes_no_slopes(slopes, line_csv, tmp_path, capsys):
+    (tmp_path / "slopes.txt").write_text("1\n0\n", encoding="utf-8")
+    if slopes == "slopes.txt":
+        slopes = str(tmp_path / slopes)
+    rc = main(["fit", str(line_csv), "--sweep-k", "1:2", "--slopes", slopes])
+    assert _one_line_usage_error(rc, capsys) == (
+        "tropalg: error: --sweep-k and --slopes cannot be combined: a sweep fits auto:K for each K\n")
+
+
 def test_fit_grid_override(line_csv, tmp_path):
     out = tmp_path / "g"
     assert main(["fit", str(line_csv), "--slopes", "line", "--grid", "11",
@@ -746,6 +827,50 @@ def test_eval_over_dataset(tmp_path, capsys, line_csv):
     assert rc == 0
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 40
+
+
+def _eval_data(tmp_path, capsys, poly_text, table, *extra):
+    poly = tmp_path / "p.txt"
+    poly.write_text(poly_text, encoding="utf-8")
+    path = _write_table(tmp_path / "pts.csv", table)
+    rc = main(["eval", str(poly), "--data", str(path), "--no-header", *extra])
+    return rc, capsys.readouterr()
+
+
+_LINE_POLY = "troppoly max max-plus\n1.0 | -2.0\n0.0 | 3.0\n"
+_PLANE_POLY = "troppoly max max-plus\n1.0 0.0 | -2.0\n0.5 1.5 | 0.25\n0.0 0.0 | 1.0\n"
+
+
+def test_eval_data_one_column_is_points_only(tmp_path, capsys):
+    x = np.linspace(-2, 9, 7)[:, None]
+    rc, (out, err) = _eval_data(tmp_path, capsys, _LINE_POLY, x)
+    assert (rc, err) == (0, "")
+    assert out == _table_text(x, np.maximum(x[:, 0] - 2, 3.0))
+
+
+def test_eval_data_as_wide_as_the_polynomial_is_points_only(tmp_path, capsys):
+    pts = np.random.default_rng(2).uniform(-3, 3, (9, 2))
+    rc, (out, err) = _eval_data(tmp_path, capsys, _PLANE_POLY, pts)
+    assert (rc, err) == (0, "")
+    assert out == _table_text(pts, read_polynomial(tmp_path / "p.txt").evaluate(pts))
+
+
+def test_eval_data_one_column_wider_drops_the_target(tmp_path, capsys):
+    # the last column is the target, read as a dataset's features are
+    table = np.random.default_rng(3).uniform(-3, 3, (9, 3))
+    rc, (out, err) = _eval_data(tmp_path, capsys, _PLANE_POLY, table)
+    assert (rc, err) == (0, "")
+    pts = ingest_csv(tmp_path / "pts.csv", has_header=False).features
+    assert out == _table_text(pts, read_polynomial(tmp_path / "p.txt").evaluate(pts))
+    assert _eval_data(tmp_path, capsys, _PLANE_POLY, table, "--target", "col3")[1].out == out
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_eval_data_of_another_width_is_usage_error(width, tmp_path, capsys):
+    rc, (out, err) = _eval_data(tmp_path, capsys, _PLANE_POLY, np.ones((3, width)))
+    assert (rc, out) == (2, "")
+    assert err == (f"tropalg: error: {tmp_path / 'pts.csv'}: {width} columns, but a polynomial of "
+                   "dimension 2 takes 2 (points) or 3 (points, then a target)\n")
 
 
 def test_polytope_command_reference(tmp_path, capsys):

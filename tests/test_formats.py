@@ -235,6 +235,13 @@ def test_parse_polynomial_raises_only_tropical_error(head, terms):
     assert poly.slopes.shape == (len(poly.intercepts), poly.dimension)
 
 
+def test_parse_polynomial_of_no_variables_off_max_plus():
+    # a term with an empty slope row is a constant term over every clodum
+    poly = parse_polynomial("troppoly max max-min\n| 0.5\n| 0.0\n")
+    assert (poly.rank, poly.dimension) == (2, 0)
+    assert poly.evaluate(np.zeros((3, 0))).tolist() == [0.5, 0.5, 0.5]
+
+
 def test_polynomial_parse_errors():
     with pytest.raises(TropicalError):
         parse_polynomial("troppoly max max-plus\n1 2 3\n")  # missing separator

@@ -543,6 +543,22 @@ def test_fit_max_affine_k_equals_m_interpolation():
     assert rep.linf_error <= 1e-12
 
 
+def test_fit_max_affine_runs_the_estimators_the_module_holds_now(monkeypatch):
+    # a wrapper set on the module after import (a tracer, a test double) runs
+    seen = []
+    for name in ("estimate_slopes_1d", "estimate_slopes_nd", "_kmeans"):
+        def wrapper(*args, _name=name, _inner=getattr(tropalg.regression, name)):
+            seen.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(tropalg.regression, name, wrapper)
+    x = np.linspace(-2, 2, 30)
+    fit_max_affine(FitProblem(x, np.abs(x), AutoSlopes(3)))
+    assert seen == ["estimate_slopes_1d"]
+    xy = np.random.default_rng(4).uniform(-1, 1, (30, 2))
+    fit_max_affine(FitProblem(xy, np.abs(xy).sum(axis=1), AutoSlopes(3, 1)))
+    assert seen == ["estimate_slopes_1d", "estimate_slopes_nd", "_kmeans"]
+
+
 def test_fit_from_below_every_instance():
     rng = np.random.default_rng(29)
     for _ in range(30):

@@ -29,10 +29,9 @@ from .regression import (
     FitProblem,
     FitReport,
     GivenSlopes,
+    _coordinate_slopes,
     _sweep_fits,
-    fit_line,
     fit_max_affine,
-    fit_plane,
     least_squares_line,
 )
 from .solver import solve
@@ -282,9 +281,23 @@ def _emit(text: str, out: str | None) -> None:
 # fit
 
 
-def _resolve_slope_arg(arg: str, seed: int):
-    if arg in ("line", "plane"):
-        return arg
+# the named slope tables of --slopes: (feature width, its wording)
+_NAMED_SLOPES = {"line": (1, "one feature column"), "plane": (2, "two feature columns")}
+
+
+def _slope_policy(arg: str | None, width: int, seed: int) -> GivenSlopes | AutoSlopes:
+    """The slope policy of ``--slopes``, or without it of the feature width:
+    ``line``/``plane`` are the given rows of the tropical line and plane,
+    ``auto:K`` estimates K slopes, and anything else names a slope file."""
+    if arg is None:
+        if width > 2:
+            raise TropicalError("datasets with more than two features need an explicit --slopes")
+        arg = "line" if width == 1 else "plane"
+    if arg in _NAMED_SLOPES:
+        n, columns = _NAMED_SLOPES[arg]
+        if width != n:
+            raise TropicalError(f"--slopes {arg} needs exactly {columns}")
+        return GivenSlopes(_coordinate_slopes(n))
     if arg.startswith("auto:"):
         try:
             count = int(arg.split(":", 1)[1])
@@ -308,19 +321,6 @@ def _resolve_slope_arg(arg: str, seed: int):
     if not rows:
         raise TropicalError(f"{arg}: slope file is empty")
     return GivenSlopes(np.array(rows))
-
-
-def _fit_once(data: Dataset, clodum: Clodum, method: str, slope_arg, seed: int) -> FitReport:
-    x, f = data.features, data.target
-    if slope_arg == "line":
-        if x.shape[1] != 1:
-            raise TropicalError("--slopes line needs exactly one feature column")
-        return fit_line(x[:, 0], f, clodum, method)
-    if slope_arg == "plane":
-        if x.shape[1] != 2:
-            raise TropicalError("--slopes plane needs exactly two feature columns")
-        return fit_plane(x, f, clodum, method)
-    return fit_max_affine(FitProblem(x, f, slope_arg, clodum), method)
 
 
 def _axis(values: np.ndarray, grid: int) -> np.ndarray:
@@ -359,10 +359,12 @@ def _residual_table(report: FitReport, data: Dataset) -> str:
 
 
 def run_fit(args) -> int:
-    if args.grid < 1:
+    if args.grid is not None and args.grid < 1:
         raise TropicalError(f"--grid needs at least 1 point per axis, got {args.grid}")
     if args.sweep_k and args.slopes is not None:
         raise TropicalError("--sweep-k and --slopes cannot be combined: a sweep fits auto:K for each K")
+    if args.sweep_k and args.grid is not None:
+        raise TropicalError("--sweep-k and --grid cannot be combined: a sweep writes no model grid")
     data = ingest_csv(args.data, has_header=not args.no_header, target=args.target)
     clodum = Clodum.parse(args.clodum)
     pairs = [
@@ -374,26 +376,20 @@ def run_fit(args) -> int:
         ("method", args.method),
         ("seed", args.seed),
     ]
+    policy = (AutoSlopes(args.sweep_k[0], args.seed) if args.sweep_k
+              else _slope_policy(args.slopes, data.features.shape[1], args.seed))
+    problem = FitProblem(data.features, data.target, policy, clodum)
 
     if args.sweep_k:
         lo, hi = args.sweep_k
         pairs.append(("sweep", f"{lo}:{hi}"))
         counts = range(lo, hi + 1)
-        problem = FitProblem(data.features, data.target, AutoSlopes(lo, args.seed), clodum)
-        fits = _sweep_fits(problem, args.method, counts)
-        for k, rep in zip(counts, fits):
+        for k, rep in zip(counts, _sweep_fits(problem, args.method, counts)):
             pairs.append((f"sweep[{k}]", f"rms={rep.rms_error!r} linf={rep.linf_error!r}"))
-        _emit(_report_lines("fit", pairs), None)
+        _emit(_report_lines("fit", pairs), args.out and args.out + ".report.txt")
         return 0
 
-    slopes = args.slopes
-    if slopes is None:
-        width = data.features.shape[1]
-        if width > 2:
-            raise TropicalError("datasets with more than two features need an explicit --slopes")
-        slopes = "line" if width == 1 else "plane"
-    slope_arg = _resolve_slope_arg(slopes, args.seed)
-    report = _fit_once(data, clodum, args.method, slope_arg, args.seed)
+    report = fit_max_affine(problem, args.method)
     pairs.append(("slope_source", report.slope_source))
     pairs.append(("terms", report.model.rank))
     for k in range(report.model.rank):
@@ -411,7 +407,7 @@ def run_fit(args) -> int:
     # in formatting leaves no output behind; the model text is reprs of
     # validated floats and cannot fail
     report_text = _report_lines("fit", pairs)
-    grid_text = _model_grid(report, data, args.grid)
+    grid_text = _model_grid(report, data, 101 if args.grid is None else args.grid)
     residual_text = _residual_table(report, data)
     out = args.out or str(Path(args.data).with_suffix("")) + f".{args.method}"
     _emit(report_text, out + ".report.txt")
@@ -455,6 +451,8 @@ def run_solve(args) -> int:
 
 
 def run_eval(args) -> int:
+    if args.at is not None and args.data is not None:
+        raise TropicalError("--at and --data cannot be combined: eval takes one point or one dataset")
     poly = read_polynomial(args.poly)
     if args.at:
         try:
@@ -549,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--target", default=None)
     p_fit.add_argument("--no-header", action="store_true")
     p_fit.add_argument("--out", default=None, help="output prefix for report/model/plot files")
-    p_fit.add_argument("--grid", type=int, default=101, help="grid points per axis for the model surface")
+    p_fit.add_argument("--grid", type=int, default=None, help="points per axis of the model grid (default 101)")
     p_fit.add_argument("--sweep-k", type=_sweep_range, default=None, metavar="MIN:MAX")
 
     p_solve = sub.add_parser("solve", help="solve A (*) x = b from tropmat files")

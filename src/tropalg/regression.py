@@ -13,8 +13,14 @@ polynomial.  Line, plane and max-affine fits all solve it through the same
 GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the GLE fit touches
 the data from below and minimizes every l_p residual norm among from-below
 fits, while the MMAE fit (max-plus) shifts it up by half its l_inf error,
-reaching the unconstrained l_inf optimum.  Tropical line and plane fits are
-provided for every supported clodum.
+reaching the unconstrained l_inf optimum.
+
+Supplied slopes fit over every clodum, under the polynomial's own rule: off
+max-plus each slope row is one-hot (a term acting on one coordinate) or zero
+(a constant term).  The tropical line and plane are such rows,
+``_coordinate_slopes(1)`` and ``_coordinate_slopes(2)``, so ``fit_line``,
+``fit_plane`` and the CLI's ``--slopes line``/``plane`` are given-slopes fits.
+Estimated slopes are general vectors and need max-plus.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
-from .tropgeom import TropicalPolynomial, _term_design
+from .tropgeom import TropicalPolynomial, _check_slopes, _term_design
 from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
 
 __all__ = [
@@ -161,6 +167,8 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
                method: str, source: str) -> FitReport:
     """Optimal intercepts for max-affine terms with these slope rows.
 
+    The method, the slopes' dimension and the polynomial's rule for slope rows
+    over ``clodum`` are checked, in that order, before the design is built.
     The design matrix is the model's own term table at the samples, so the
     intercepts are the x_hat/x_tilde of the design system.  Checking the fresh
     design in place is the one carrier check of the samples; the finiteness
@@ -169,6 +177,9 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     adopted as is, without the copy a ``TropicalMatrix`` would make.
     """
     _check_method(method, clodum)
+    if slopes.shape[1] != x.shape[1]:
+        raise DimensionMismatchError("slope vectors and samples disagree on dimension")
+    _check_slopes(slopes, clodum)
     design = _adopt(TropicalMatrix, clodum.validate(_term_design(x, slopes, clodum.unit)), clodum)
     target = TropicalVector(f, clodum)
     if not np.isfinite(f).all():
@@ -193,6 +204,12 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     )
 
 
+def _coordinate_slopes(n: int) -> np.ndarray:
+    """The slope rows of the tropical line (n = 1) or plane (n = 2): one
+    one-hot row per coordinate, then the zero row of the constant term."""
+    return np.vstack([np.eye(n), np.zeros((1, n))])
+
+
 def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
     """Closed-form fit of the tropical line max(mul(a, x), b) to 1-D data.
 
@@ -204,7 +221,7 @@ def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.shape != f.shape or len(x) < 1:
         raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
-    return _fit_terms(x[:, None], f, np.array([[1.0], [0.0]]), clodum, method, "given")
+    return _fit_terms(x[:, None], f, _coordinate_slopes(1), clodum, method, "given")
 
 
 def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
@@ -213,11 +230,11 @@ def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitRepor
     f = np.asarray(f, dtype=float).reshape(-1)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] != len(f) or len(f) < 1:
         raise DimensionMismatchError("xy must be (m, 2) with one target per sample")
-    slopes = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    return _fit_terms(xy, f, slopes, clodum, method, "given")
+    return _fit_terms(xy, f, _coordinate_slopes(2), clodum, method, "given")
 
 
 def _check_max_affine(clodum: Clodum, method: str) -> None:
+    """The check of an estimated-slopes fit, whose slopes may be any vectors."""
     if clodum != MAX_PLUS:
         raise UnsupportedClodumError(
             "fit_max_affine composes general slope vectors and needs max-plus; "
@@ -233,13 +250,16 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     fit into the max-plus system X (*) b = f whose GLE solution is
     b_k = inf_i (f_i - X_ik); the whole intercept solve is one pass over the
     data, O(K m n).  MMAE adds half the GLE l_inf error to every intercept.
+
+    Given slopes fit over the problem's clodum; off max-plus each row must be
+    one-hot or zero, the rule of :class:`TropicalPolynomial`, which the line
+    and plane rows meet.  Estimated slopes are general vectors, so they need
+    max-plus.
     """
-    _check_max_affine(problem.clodum, method)
     x, f, policy = problem.inputs, problem.targets, problem.slopes
     if isinstance(policy, GivenSlopes):
-        if policy.values.shape[1] != problem.dimension:
-            raise DimensionMismatchError("slope vectors and samples disagree on dimension")
-        return _fit_terms(x, f, policy.values, MAX_PLUS, method, "given")
+        return _fit_terms(x, f, policy.values, problem.clodum, method, "given")
+    _check_max_affine(problem.clodum, method)
     estimate, source = ((estimate_slopes_1d, "jenks") if problem.dimension == 1
                         else (estimate_slopes_nd, "kmeans"))
     slopes = estimate(x, f, policy.count, policy.seed).reshape(policy.count, -1)

@@ -19,7 +19,7 @@ it.  Results are the whole table's to the bit, signed zeros included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,11 +82,7 @@ class TropicalPolynomial:
             raise DimensionMismatchError("need exactly one intercept per term")
         if self.orientation not in ("max", "min"):
             raise TropicalError(f"orientation must be 'max' or 'min', got {self.orientation!r}")
-        if self.clodum != MAX_PLUS and _selected_coordinates(slopes) is None:
-            raise UnsupportedClodumError(
-                "general slope vectors need max-plus; over other cloda each term "
-                "must be constant or act on a single coordinate with slope 1"
-            )
+        _check_slopes(slopes, self.clodum)
         slopes = slopes.copy()
         slopes.flags.writeable = False
         intercepts.flags.writeable = False
@@ -169,6 +165,15 @@ def _selected_coordinates(slopes: np.ndarray) -> np.ndarray | None:
         return None
     # a zero row's first True is the appended column n, also when n = 0
     return np.argmax(np.column_stack([hot, ~hot.any(axis=1)]), axis=1)
+
+
+def _check_slopes(slopes: np.ndarray, clodum: Clodum) -> None:
+    """Raise unless every slope row is one a polynomial over ``clodum`` can hold."""
+    if clodum != MAX_PLUS and _selected_coordinates(slopes) is None:
+        raise UnsupportedClodumError(
+            "general slope vectors need max-plus; over other cloda each term "
+            "must be constant or act on a single coordinate with slope 1"
+        )
 
 
 def _term_design(X: np.ndarray, slopes: np.ndarray, fill: float) -> np.ndarray:
@@ -302,7 +307,7 @@ class Polytope:
     """
 
     generators: np.ndarray
-    hull_vertices: np.ndarray | None = None
+    hull_vertices: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         gens = np.asarray(self.generators, dtype=float)
@@ -315,14 +320,13 @@ class Polytope:
         gens = gens.copy()
         gens.flags.writeable = False
         object.__setattr__(self, "generators", gens)
-        hull = self.hull_vertices
-        if hull is None and self.dimension == 1:
+        hull = None
+        if self.dimension == 1:
             lo, hi = float(gens.min()), float(gens.max())
             hull = np.array([[lo]]) if lo == hi else np.array([[lo], [hi]])
-        elif hull is None and self.dimension == 2:
+        elif self.dimension == 2:
             hull = convex_hull_2d(gens)
         if hull is not None:
-            hull = np.asarray(hull, dtype=float).copy()
             hull.flags.writeable = False
         object.__setattr__(self, "hull_vertices", hull)
 

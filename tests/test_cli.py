@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from oracles import eval_text_per_row, grid_text_per_row, ingest_csv_per_cell, residual_text_per_row
 import tropalg.cli
 from tropalg import MAX_PLUS, TropicalMatrix, fit_plane, read_polynomial, write_polynomial, write_tropmat
-from tropalg.cli import Dataset, _fit_once, _model_grid, _residual_table, _table_text, ingest_csv, main
+from tropalg.cli import Dataset, _model_grid, _residual_table, _table_text, ingest_csv, main
 from tropalg.clodum import TropicalError
-from tropalg.regression import AutoSlopes
+from tropalg.regression import AutoSlopes, FitProblem, fit_max_affine
 
 INF = float("inf")
 
@@ -381,7 +381,7 @@ def test_fit_and_eval_tables_match_per_row_writers(tmp_path, capsys, dims):
     p.write_text("\n".join(",".join(map(repr, row)) for row in np.column_stack([x, f]).tolist()) + "\n",
                  encoding="utf-8")
     data = ingest_csv(p, has_header=False)
-    report = _fit_once(data, MAX_PLUS, "mmae", AutoSlopes(3, 1), 1)
+    report = fit_max_affine(FitProblem(data.features, data.target, AutoSlopes(3, 1), MAX_PLUS), "mmae")
     gx = [np.linspace(x[:, j].min(), x[:, j].max(), 5) for j in range(dims)]
     grid = np.column_stack([g.ravel() for g in np.meshgrid(*gx, indexing="ij")])
     assert _model_grid(report, data, 5) == grid_text_per_row(grid, report.model.evaluate(grid))
@@ -503,7 +503,7 @@ def test_fit_sweep(line_csv, capsys):
 
 
 def _sweep_line(data, k):
-    rep = _fit_once(data, MAX_PLUS, "gle", AutoSlopes(k, 0), 0)
+    rep = fit_max_affine(FitProblem(data.features, data.target, AutoSlopes(k, 0), MAX_PLUS), "gle")
     return f"sweep[{k}]: rms={rep.rms_error!r} linf={rep.linf_error!r}"
 
 
@@ -565,7 +565,7 @@ def _expected_sweep(data, counts, clodum, method, seed):
     lines = []
     for k in counts:
         try:
-            rep = _fit_once(data, clodum, method, AutoSlopes(k, seed), seed)
+            rep = fit_max_affine(FitProblem(data.features, data.target, AutoSlopes(k, seed), clodum), method)
         except TropicalError as exc:
             return [], f"tropalg: error: {exc}\n"
         lines.append(f"sweep[{k}]: rms={rep.rms_error!r} linf={rep.linf_error!r}")
@@ -612,6 +612,67 @@ def test_fit_sweep_takes_no_slopes(slopes, line_csv, tmp_path, capsys):
     rc = main(["fit", str(line_csv), "--sweep-k", "1:2", "--slopes", slopes])
     assert _one_line_usage_error(rc, capsys) == (
         "tropalg: error: --sweep-k and --slopes cannot be combined: a sweep fits auto:K for each K\n")
+
+
+_FIT_PARTS = ("report", "model", "grid", "residuals")
+
+
+def _fit_outputs(argv, out, capsys):
+    """Exit status, stdout, stderr and the bytes of the four files of one fit."""
+    paths = [Path(f"{out}.{part}.txt") for part in _FIT_PARTS]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, [p.read_bytes() if p.exists() else None for p in paths]
+
+
+@pytest.mark.parametrize("dims, name, rows", [(1, "line", "1\n0\n"), (2, "plane", "1 0\n0 1\n0 0\n")])
+@pytest.mark.parametrize("clodum, method", [("max-plus", "gle"), ("max-plus", "mmae"), ("max-times", "gle"),
+                                            ("max-min", "gle"), ("max-softmin:θ=0.5", "gle")])
+def test_fit_line_and_plane_are_their_slope_tables(dims, name, rows, clodum, method, tmp_path, capsys):
+    # --slopes line/plane, the default slopes and a slope file of the same
+    # rows are one given-slopes fit, on every clodum
+    rng = np.random.default_rng(17 + dims)
+    table = rng.uniform(0.05, 0.95, (25, dims + 1))  # inside every carrier
+    path = _write_table(tmp_path / "d.csv", table)
+    (tmp_path / "rows.txt").write_text(rows, encoding="utf-8")
+    base = ["fit", str(path), "--no-header", "--clodum", clodum, "--method", method]
+    runs = [_fit_outputs(base + extra, tmp_path / "run", capsys)
+            for extra in (["--slopes", name], [], ["--slopes", str(tmp_path / "rows.txt")])]
+    rc, out, err, files = runs[0]
+    assert (rc, err) == (0, "") and None not in files
+    assert "slope_source: given" in out
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("clodum", ["max-plus", "max-min"])
+def test_fit_infinite_cell_is_one_error_under_every_slopes_value(clodum, tmp_path, capsys):
+    (tmp_path / "rows.txt").write_text("1\n0\n", encoding="utf-8")
+    path = tmp_path / "inf.csv"
+    path.write_text("x,y\n0.25,0.5\ninf,0.75\n0.5,0.25\n", encoding="utf-8")
+    for slopes in (["--slopes", "line"], [], ["--slopes", str(tmp_path / "rows.txt")], ["--slopes", "auto:1"]):
+        rc = main(["fit", str(path), "--clodum", clodum, "--out", str(tmp_path / "run")] + slopes)
+        assert _one_line_usage_error(rc, capsys) == "tropalg: error: samples must be finite\n", slopes
+    assert list(tmp_path.glob("run.*")) == []
+
+
+def test_fit_sweep_writes_its_report_under_out_only(line_csv, tmp_path, capsys):
+    argv = ["fit", str(line_csv), "--sweep-k", "1:3"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv"]
+    assert main(argv + ["--out", str(tmp_path / "sw")]) == 0
+    assert capsys.readouterr().out == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["line.csv", "sw.report.txt"]
+    assert (tmp_path / "sw.report.txt").read_text(encoding="utf-8") == printed
+
+
+def test_fit_sweep_takes_no_grid(tmp_path, capsys):
+    # checked before the dataset is read: the file does not exist
+    rc = main(["fit", str(tmp_path / "missing.csv"), "--sweep-k", "1:2", "--grid", "5"])
+    assert _one_line_usage_error(rc, capsys) == (
+        "tropalg: error: --sweep-k and --grid cannot be combined: a sweep writes no model grid\n")
 
 
 def test_fit_grid_override(line_csv, tmp_path):
@@ -800,6 +861,14 @@ def test_eval_at_point(tmp_path, capsys):
     rc = main(["eval", str(poly), "--at", "10"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "10.0 8.0"
+
+
+def test_eval_takes_at_or_data_not_both(tmp_path, capsys, line_csv):
+    poly = tmp_path / "p.txt"
+    poly.write_text(_LINE_POLY, encoding="utf-8")
+    rc = main(["eval", str(poly), "--at", "1", "--data", str(line_csv)])
+    assert _one_line_usage_error(rc, capsys) == (
+        "tropalg: error: --at and --data cannot be combined: eval takes one point or one dataset\n")
 
 
 def test_eval_non_numeric_point_is_usage_error(tmp_path, capsys):

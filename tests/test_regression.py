@@ -30,7 +30,7 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _gradients, _jenks_breaks, _kmeans
+from tropalg.regression import _fit_terms, _gradients, _jenks_breaks, _kmeans
 
 INF = float("inf")
 
@@ -624,11 +624,32 @@ def test_shift_equivariance():
 
 
 def test_fit_max_affine_rejects_non_maxplus():
-    x = np.array([[0.2], [0.4]])
-    f = np.array([0.3, 0.5])
-    prob = FitProblem(x, f, GivenSlopes(np.array([[1.0]])), MAX_MIN)
-    with pytest.raises(UnsupportedClodumError):
-        fit_max_affine(prob, "gle")
+    # off max-plus, given rows must be one-hot or zero, as a polynomial's
+    # are, and those fit with the bits of the design solve; general rows,
+    # estimated slopes and MMAE stay max-plus only
+    rng = np.random.default_rng(29)
+    x = rng.uniform(0.05, 0.95, (20, 2))  # inside every carrier
+    f = rng.uniform(0.05, 0.95, 20)
+    rows = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for clodum in (MAX_PLUS, MAX_MIN, MAX_TIMES, max_softmin(0.5)):
+        for method in ("gle", "mmae") if clodum == MAX_PLUS else ("gle",):
+            rep = fit_max_affine(FitProblem(x, f, GivenSlopes(rows), clodum), method)
+            ref = _fit_terms(x, f, rows, clodum, method, "given")
+            assert rep.slope_source == ref.slope_source == "given"
+            assert rep.model.intercepts.tobytes() == ref.model.intercepts.tobytes()
+            assert rep.residuals.tobytes() == ref.residuals.tobytes()
+            assert (rep.rms_error, rep.linf_error) == (ref.rms_error, ref.linf_error)
+        if clodum == MAX_PLUS:
+            continue
+        cases = [
+            (GivenSlopes(np.array([[0.5, 0.0]])), "gle", "general slope vectors need max-plus"),
+            (GivenSlopes(np.array([[1.0, 1.0]])), "gle", "general slope vectors need max-plus"),
+            (GivenSlopes(rows), "mmae", "MMAE"),
+            (AutoSlopes(2), "gle", "fit_max_affine composes general slope vectors"),
+        ]
+        for policy, method, message in cases:
+            with pytest.raises(UnsupportedClodumError, match=message):
+                fit_max_affine(FitProblem(x, f, policy, clodum), method)
 
 
 def test_auto_slopes_1d_uses_jenks():

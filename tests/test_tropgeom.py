@@ -390,6 +390,15 @@ def test_polytope_1d_hull():
     assert P.hull_vertices.tolist() == [[1.0], [3.0]]
 
 
+def test_polytope_hull_is_computed_never_passed():
+    # a passed hull would be trusted: polytope_equal compares hulls
+    with pytest.raises(TypeError):
+        Polytope([[0, 0], [1, 0], [0, 1]], [[5, 5]])
+    with pytest.raises(TypeError):
+        Polytope([[0, 0], [1, 0], [0, 1]], hull_vertices=[[5, 5]])
+    assert not polytope_equal(Polytope([[0, 0], [1, 0], [0, 1]]), Polytope([[5, 5]]))
+
+
 def test_polytope_equal_3d_reduction():
     cube = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], float)
     with_center = np.vstack([cube, [[0.5, 0.5, 0.5]]])

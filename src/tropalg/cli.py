@@ -1,4 +1,4 @@
-"""Command-line front end: dataset ingestion, fitting, solving, geometry.
+"""Command-line front end: fitting, solving, geometry.
 
 Subcommands: ``fit`` (max-affine regression on a CSV dataset), ``solve``
 (optimal solutions of tropical linear systems in tropmat files), ``eval``
@@ -6,12 +6,18 @@ Subcommands: ``fit`` (max-affine regression on a CSV dataset), ``solve``
 joins, Minkowski sums).  Reports are plain structured text with a stable key
 order, and plot data files are numeric columns consumable by any plotting
 tool; given the same inputs and seed the outputs are byte-identical.
+
+Every input file is read by ``tropalg.formats``: tropmat and troppoly files,
+CSV tables and slope files.  This module turns a table into a
+:class:`Dataset`, assembles the reports, and writes the output files all or
+nothing (:func:`_emit`).  Warnings of the library reach the reports
+(``warnings:`` and ``note:`` lines), and no Python warning is printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import itertools
 import os
 import sys
@@ -22,8 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .clodum import Clodum, TropicalError
-from .formats import _open_text, read_polynomial, read_tropmat, read_tropvec, write_polynomial
+from .clodum import CarrierError, Clodum, TropicalError
+from .formats import (
+    _read_csv,
+    _read_slopes,
+    _row,
+    _term_lines,
+    read_polynomial,
+    read_tropmat,
+    read_tropvec,
+    write_polynomial,
+)
 from .regression import (
     AutoSlopes,
     FitProblem,
@@ -76,161 +91,13 @@ class Dataset:
         return self.values.shape[0]
 
 
-def _parse_cell(token: str, path: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise TropicalError(f"{path}:{lineno}: non-numeric cell {token!r}") from None
-    if np.isnan(value):
-        raise TropicalError(f"{path}:{lineno}: NaN is not a valid cell value")
-    return value
-
-
-def _cell_array(rows: list[list[str]], lines: list[int], path: str) -> np.ndarray:
-    """Rectangular rows of cell text as one float array.
-
-    ``np.array(..., dtype=float)`` converts each cell with ``float()``; only
-    when that fails, or a cell is NaN, are the cells parsed one by one, in
-    file order, to raise the error of the first bad cell.
-    """
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if values is None or np.isnan(values).any():
-        for cells, lineno in zip(rows, lines):
-            for cell in cells:
-                _parse_cell(cell, path, lineno)
-    return values
-
-
-def _has_long_line(path: str, limit: int) -> bool:
-    """Whether a line of the file holds more than ``limit`` bytes.
-
-    The file is read in blocks of ``limit`` bytes, so a line that lies inside
-    one block is shorter than the limit; only the lines that cross a block
-    edge are measured.
-    """
-    last = -1  # offset of the last line break seen
-    offset = 0
-    with open(path, "rb") as fh:
-        while block := fh.read(max(limit, 1)):
-            first = min((i for i in (block.find(b"\n"), block.find(b"\r")) if i >= 0), default=len(block))
-            if offset + first - last - 1 > limit:
-                return True
-            if first < len(block):
-                last = offset + max(block.rfind(b"\n"), block.rfind(b"\r"))
-            offset += len(block)
-    return False
-
-
-def _stream_csv(fh, path: str, has_header: bool):
-    """The header cells (or None) and the values of a regular CSV stream, or
-    None when the file needs the csv-module reader.
-
-    A regular file has no line longer than the csv module's field size limit,
-    a header with no quote or NUL and a non-blank cell, and data that numpy's
-    C tokenizer (``np.loadtxt``) reads as one or more rows of header width,
-    with no NaN.  Without a quote the csv module splits a line at each comma,
-    and loadtxt converts each field with ``PyOS_string_to_double``, the
-    correctly rounded routine behind ``float()``, so the values are
-    bit-identical.  A decode error in a later chunk also falls back, so that
-    the csv-module reader can report an earlier defect first.
-    """
-    limit = csv.field_size_limit()
-    if os.fstat(fh.fileno()).st_size > limit and _has_long_line(path, limit):
-        return None
-    try:
-        columns = None
-        if has_header:
-            # with newline="", readline ends the header where the csv module does
-            header = fh.readline()
-            if '"' in header or "\x00" in header:
-                return None
-            columns = [c.strip() for c in header.split(",")]
-            if all(c == "" for c in columns):
-                return None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            values = np.loadtxt(fh, delimiter=",", dtype=float, comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    if len(values) == 0 or (columns is not None and len(columns) != values.shape[1]):
-        return None
-    if np.isnan(values).any():
-        return None
-    return columns, values
-
-
-def _read_csv_cells(fh, path: str, has_header: bool):
-    """The header cells (or None) and the values of a CSV stream, read record
-    by record with the csv module; every reader error message comes from
-    here."""
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    ragged = None
-    columns: list[str] | None = None
-    reader = csv.reader(fh)
-    try:
-        for record in reader:
-            lineno = reader.line_num  # the record's last physical line
-            cells = [c.strip() for c in record]
-            if not cells or all(c == "" for c in cells):
-                continue
-            if columns is None and has_header:
-                columns = cells
-                continue
-            if rows and len(cells) != len(rows[0]):
-                ragged = lineno, cells
-                break
-            rows.append(cells)
-            lines.append(lineno)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        _cell_array(rows, lines, path)  # a bad cell above the unreadable line comes first
-        if isinstance(exc, csv.Error):
-            raise TropicalError(f"{path}:{reader.line_num}: {exc}") from None
-        raise
-    if not rows:
-        raise TropicalError(f"{path}: no data rows")
-    values = _cell_array(rows, lines, path)
-    if ragged is not None:
-        lineno, cells = ragged
-        _cell_array([cells], [lineno], path)
-        raise TropicalError(
-            f"{path}:{lineno}: ragged row has {len(cells)} cells, expected {len(rows[0])}"
-        )
-    return columns, values
-
-
-def _read_csv(path: str, has_header: bool) -> tuple[list[str], np.ndarray]:
-    """The column names (``col1``, ... without a header) and the values of a
-    numeric CSV file of any width; see :func:`ingest_csv`."""
-    with _open_text(path, newline="") as fh:
-        streamed = _stream_csv(fh, path, has_header)
-        if streamed is None:
-            fh.seek(0)
-            streamed = _read_csv_cells(fh, path, has_header)
-    columns, values = streamed
-    width = values.shape[1]
-    if columns is None:
-        columns = [f"col{i + 1}" for i in range(width)]
-    if len(columns) != width:
-        raise TropicalError(f"{path}: header has {len(columns)} names for {width} columns")
-    return columns, values
-
-
 def ingest_csv(path, has_header: bool = True, target: str | None = None) -> Dataset:
     """Read a numeric CSV dataset; the last column is the target by default.
 
-    Cells must parse as finite reals or ``inf``/``-inf`` literals; ragged or
-    malformed rows are reported with their line number, and so are lines the
-    csv module refuses (such as a cell over its field size limit).  Bytes that
-    are not UTF-8 are reported with the file name.  When a file has several
-    defects, the first in file order is reported.
-
-    A regular numeric file is tokenized by numpy straight from the open file
-    (:func:`_stream_csv`); any other file is re-read by the csv module, which
-    gives the same values and alone writes the messages.
+    The table is read by ``formats._read_csv``: cells are finite reals or
+    ``inf``/``-inf`` literals, and the first defect in file order is reported
+    with the file name and line.  A dataset also needs a feature column and a
+    target column, and ``target`` must name a column.
     """
     path = str(path)
     columns, values = _read_csv(path, has_header)
@@ -254,14 +121,13 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, np.ndarray):
-        return " ".join(map(repr, value.tolist()))
+        return _row(value.tolist())
     return str(value)
 
 
 def _table_text(*columns) -> str:
-    """Numeric table text: one line per row, the ``repr`` of each float, space-separated."""
-    rows = np.column_stack(columns).tolist()
-    return "\n".join(" ".join(map(repr, row)) for row in rows) + "\n"
+    """Numeric table text: one ``_row`` line per row."""
+    return "\n".join(map(_row, np.column_stack(columns).tolist())) + "\n"
 
 
 def _report_lines(title: str, pairs) -> str:
@@ -271,10 +137,46 @@ def _report_lines(title: str, pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, *outputs) -> None:
+    """Write ``text`` to ``out`` (when set) and each further ``(path,
+    content)`` output, all or nothing, then print ``text``.
+
+    ``content`` is the text, or a writer called with a path.  Each output is
+    written to a new temporary file beside its path (beside the file a
+    symbolic link names), and the temporaries replace their paths only once
+    all are written; on any error they are removed, and an ``OSError`` names
+    the output path.  A path that exists but is not a regular file is written
+    in place: a directory fails there, before any path is replaced, as a
+    direct write would, and a device or pipe takes the text as it comes.
+    """
+    temps = []  # (temporary, path it replaces)
+    try:
+        for path, content in [(out, text), *outputs] if out else outputs:
+            try:
+                if os.path.isfile(path) or not os.path.exists(path):
+                    # beside the file a link names; "x" makes a new file, with
+                    # the permissions a direct write gives
+                    final = os.path.realpath(path) if os.path.islink(path) else path
+                    target, mode = f"{final}.{os.urandom(4).hex()}.tmp", "x"
+                else:
+                    target, mode = path, "w"
+                with open(target, mode, encoding="utf-8") as fh:
+                    if mode == "x":
+                        temps.append((target, final))
+                    if not callable(content):
+                        fh.write(content)
+                if callable(content):
+                    content(target)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+        for target, final in temps:
+            os.replace(target, final)
+    except BaseException:
+        for target, _ in temps:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        raise
     sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +206,7 @@ def _slope_policy(arg: str | None, width: int, seed: int) -> GivenSlopes | AutoS
         except ValueError:
             raise TropicalError(f"bad slope count in {arg!r}") from None
         return AutoSlopes(count, seed)
-    rows = []
-    with _open_text(arg) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                rows.append([float(t) for t in tokens])
-            except ValueError:
-                raise TropicalError(f"{arg}:{lineno}: non-numeric slope entry in {line.strip()!r}") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise TropicalError(
-                    f"{arg}:{lineno}: ragged slope row has {len(rows[-1])} entries, expected {len(rows[0])}"
-                )
-    if not rows:
-        raise TropicalError(f"{arg}: slope file is empty")
-    return GivenSlopes(np.array(rows))
+    return GivenSlopes(_read_slopes(arg))
 
 
 def _axis(values: np.ndarray, grid: int) -> np.ndarray:
@@ -384,17 +270,23 @@ def run_fit(args) -> int:
         lo, hi = args.sweep_k
         pairs.append(("sweep", f"{lo}:{hi}"))
         counts = range(lo, hi + 1)
+        warned = {}  # each distinct warning of the sweep's fits, in order
         for k, rep in zip(counts, _sweep_fits(problem, args.method, counts)):
             pairs.append((f"sweep[{k}]", f"rms={rep.rms_error!r} linf={rep.linf_error!r}"))
+            warned.update(dict.fromkeys(rep.warnings))
+        if warned:
+            pairs.append(("warnings", "; ".join(warned)))
         _emit(_report_lines("fit", pairs), args.out and args.out + ".report.txt")
         return 0
 
-    report = fit_max_affine(problem, args.method)
+    try:
+        report = fit_max_affine(problem, args.method)
+    except CarrierError as exc:
+        raise CarrierError(f"{data.provenance}: {exc}") from None
     pairs.append(("slope_source", report.slope_source))
     pairs.append(("terms", report.model.rank))
-    for k in range(report.model.rank):
-        coeffs = " ".join(repr(float(v)) for v in report.model.slopes[k])
-        pairs.append((f"term[{k}]", f"{coeffs} | {float(report.model.intercepts[k])!r}"))
+    for k, line in enumerate(_term_lines(report.model)):
+        pairs.append((f"term[{k}]", line))
     pairs.append(("rms_error", report.rms_error))
     pairs.append(("linf_error", report.linf_error))
     if data.features.shape[1] == 1:
@@ -403,17 +295,16 @@ def run_fit(args) -> int:
         pairs.append(("lse_baseline", f"a={a_ls!r} b={b_ls!r} rms={float(np.sqrt(np.mean(res**2)))!r}"))
     pairs.append(("warnings", "; ".join(report.warnings) if report.warnings else "none"))
 
-    # every text is built before stdout or any file is written, so an error
-    # in formatting leaves no output behind; the model text is reprs of
-    # validated floats and cannot fail
+    # every text is built before any output is written; the model text is
+    # reprs of validated floats and cannot fail
     report_text = _report_lines("fit", pairs)
     grid_text = _model_grid(report, data, 101 if args.grid is None else args.grid)
     residual_text = _residual_table(report, data)
     out = args.out or str(Path(args.data).with_suffix("")) + f".{args.method}"
-    _emit(report_text, out + ".report.txt")
-    write_polynomial(out + ".model.txt", report.model)
-    Path(out + ".grid.txt").write_text(grid_text, encoding="utf-8")
-    Path(out + ".residuals.txt").write_text(residual_text, encoding="utf-8")
+    _emit(report_text, out + ".report.txt",
+          (out + ".model.txt", lambda path: write_polynomial(path, report.model)),
+          (out + ".grid.txt", grid_text),
+          (out + ".residuals.txt", residual_text))
     return 0
 
 
@@ -583,7 +474,10 @@ def main(argv=None) -> int:
     # wrapper later set on this module (a tracer, a test double) is what runs
     run = {"fit": run_fit, "solve": run_solve, "eval": run_eval, "polytope": run_polytope}[args.command]
     try:
-        return run(args)
+        with warnings.catch_warnings():
+            # the library's warnings are in the reports already
+            warnings.simplefilter("ignore")
+            return run(args)
     except TropicalError as exc:
         print(f"tropalg: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

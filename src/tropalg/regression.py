@@ -25,12 +25,13 @@ Estimated slopes are general vectors and need max-plus.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clodum import MAX_PLUS, Clodum, TropicalError, UnsupportedClodumError
+from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
 from .tropgeom import TropicalPolynomial, _check_slopes, _term_design
 from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
@@ -164,7 +165,7 @@ def _rms(res: np.ndarray) -> float:
 
 
 def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
-               method: str, source: str) -> FitReport:
+               method: str, source: str, notes: tuple[str, ...] = ()) -> FitReport:
     """Optimal intercepts for max-affine terms with these slope rows.
 
     The method, the slopes' dimension and the polynomial's rule for slope rows
@@ -173,15 +174,20 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     intercepts are the x_hat/x_tilde of the design system.  Checking the fresh
     design in place is the one carrier check of the samples; the finiteness
     checks follow, so NaN and out-of-carrier values raise
-    :class:`CarrierError` first.  The design is fresh and C-ordered, so it is
-    adopted as is, without the copy a ``TropicalMatrix`` would make.
+    :class:`CarrierError` first, naming the first sample outside the carrier.
+    The design is fresh and C-ordered, so it is adopted as is, without the
+    copy a ``TropicalMatrix`` would make.  ``notes`` lead the report's
+    warnings.
     """
     _check_method(method, clodum)
     if slopes.shape[1] != x.shape[1]:
         raise DimensionMismatchError("slope vectors and samples disagree on dimension")
     _check_slopes(slopes, clodum)
-    design = _adopt(TropicalMatrix, clodum.validate(_term_design(x, slopes, clodum.unit)), clodum)
-    target = TropicalVector(f, clodum)
+    try:
+        design = _adopt(TropicalMatrix, clodum.validate(_term_design(x, slopes, clodum.unit)), clodum)
+        target = TropicalVector(f, clodum)
+    except CarrierError as exc:
+        raise CarrierError(f"{exc}: {_outside_text(x, f, slopes, clodum)}") from None
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")
     if not np.isfinite(x).all():
@@ -200,8 +206,19 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
         linf_error=float(np.max(np.abs(res))),
         residuals=res,
         slope_source=source,
-        warnings=(f"terms {inert} received a bottom intercept and are inert",) if inert else (),
+        warnings=notes + ((f"terms {inert} received a bottom intercept and are inert",) if inert else ()),
     )
+
+
+def _outside_text(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum) -> str:
+    """The first sample whose design row or target lies outside the carrier
+    (NaN included), located on the error path of the carrier check."""
+    def inside(values):
+        return (values >= clodum.bottom) & (values <= clodum.top)
+
+    ok = inside(_term_design(x, slopes, clodum.unit)).all(axis=1) & inside(f)
+    i = int(np.argmin(ok))
+    return f"{_sample_text(x, i)}, f = {float(f[i])!r}"
 
 
 def _coordinate_slopes(n: int) -> np.ndarray:
@@ -237,10 +254,22 @@ def _check_max_affine(clodum: Clodum, method: str) -> None:
     """The check of an estimated-slopes fit, whose slopes may be any vectors."""
     if clodum != MAX_PLUS:
         raise UnsupportedClodumError(
-            "fit_max_affine composes general slope vectors and needs max-plus; "
-            "use fit_line/fit_plane for other cloda"
+            f"estimated slopes are general vectors and need max-plus, not {clodum.spec_string()}; "
+            "other cloda take given one-hot or zero slope rows, such as --slopes line or plane, "
+            "or a slope file of such rows"
         )
     _check_method(method, clodum)
+
+
+def _estimated(estimate, *args):
+    """``estimate(*args)`` and the messages of the user warnings it raised,
+    for a report; every warning is raised again for the caller."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = estimate(*args)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return result, tuple(str(w.message) for w in caught if issubclass(w.category, UserWarning))
 
 
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
@@ -254,7 +283,8 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     Given slopes fit over the problem's clodum; off max-plus each row must be
     one-hot or zero, the rule of :class:`TropicalPolynomial`, which the line
     and plane rows meet.  Estimated slopes are general vectors, so they need
-    max-plus.
+    max-plus.  The warnings of the estimate (skipped neighbourhoods) are
+    raised and lead the report's warnings.
     """
     x, f, policy = problem.inputs, problem.targets, problem.slopes
     if isinstance(policy, GivenSlopes):
@@ -262,25 +292,29 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     _check_max_affine(problem.clodum, method)
     estimate, source = ((estimate_slopes_1d, "jenks") if problem.dimension == 1
                         else (estimate_slopes_nd, "kmeans"))
-    slopes = estimate(x, f, policy.count, policy.seed).reshape(policy.count, -1)
-    return _fit_terms(x, f, slopes, MAX_PLUS, method, source)
+    slopes, notes = _estimated(estimate, x, f, policy.count, policy.seed)
+    return _fit_terms(x, f, slopes.reshape(policy.count, -1), MAX_PLUS, method, source, notes)
 
 
 def _sweep_fits(problem: FitProblem, method: str, counts: range):
     """``fit_max_affine`` of ``problem`` with ``AutoSlopes(k, seed)`` for each
-    k of ``counts`` in turn, as a generator; ``problem`` holds the first k.
+    k of the non-empty ``counts`` in turn, as a generator; ``problem`` holds
+    the first k.
 
     The slopes come from ``_slope_sets``, which takes the candidate pool once
     for all k, so each report, and the first error, are those of the separate
-    fits.  The problem is checked at the first k only: its one check that
+    fits; the pool's warnings are raised once and lead every report's
+    warnings.  The problem is checked at the first k only: its one check that
     depends on k, k <= m, never fails first at a later k, because every k >= m
     already fails the estimator's own sample count check.
     """
     _check_max_affine(problem.clodum, method)
     x, f = problem.inputs, problem.targets
     one = problem.dimension == 1
-    for slopes in _slope_sets(x[:, 0] if one else x, f, counts, problem.slopes.seed):
-        yield _fit_terms(x, f, slopes, MAX_PLUS, method, "jenks" if one else "kmeans")
+    sets = _slope_sets(x[:, 0] if one else x, f, counts, problem.slopes.seed)
+    first, notes = _estimated(next, sets)
+    for slopes in itertools.chain([first], sets):
+        yield _fit_terms(x, f, slopes, MAX_PLUS, method, "jenks" if one else "kmeans", notes)
 
 
 # ---------------------------------------------------------------------------

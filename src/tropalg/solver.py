@@ -67,11 +67,15 @@ def _check_dims(A: TropicalMatrix, b: TropicalVector) -> None:
         raise DimensionMismatchError(f"matrix has {A.shape[0]} rows but b has {len(b)} entries")
 
 
-def _warn_dead_columns(A: TropicalMatrix) -> None:
+def _warn_dead_columns(A: TropicalMatrix) -> tuple[str, ...]:
+    """Warn of the columns of A that are entirely bottom, and return the
+    warning as a note, or no note when there are none."""
     dead = np.all(A.values == A.clodum.bottom, axis=0)
-    if dead.any():
-        cols = np.flatnonzero(dead).tolist()
-        warnings.warn(f"columns {cols} of A are entirely bottom; solution components set to top")
+    if not dead.any():
+        return ()
+    note = f"columns {np.flatnonzero(dead).tolist()} of A are entirely bottom; solution components set to top"
+    warnings.warn(note)
+    return (note,)
 
 
 def greatest_subsolution(A: TropicalMatrix, b: TropicalVector) -> TropicalVector:
@@ -95,11 +99,13 @@ def _residual(b: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return r
 
 
-def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveResult:
+def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str,
+                   notes: tuple[str, ...] = ()) -> SolveResult:
     """GLE -> mu -> MMAE in one pass over a system already checked by the caller.
 
     One erosion gives x_hat and one dilation both its residual and ``exact``;
-    mu is half the largest finite-row GLE residual, clamped at 0.
+    mu is half the largest finite-row GLE residual, clamped at 0.  ``notes``
+    go into the result as they are.
     """
     x_hat = matvec_erode(A, b)
     proj = matvec_dilate(A, x_hat).values
@@ -120,6 +126,7 @@ def _solve_checked(A: TropicalMatrix, b: TropicalVector, method: str) -> SolveRe
         exact=exact,
         x_tilde=x_tilde,
         residual_mmae=r_mmae,
+        notes=notes,
     )
 
 
@@ -129,7 +136,8 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
     The MMAE method is proven optimal for max-plus only.  Max-times systems
     are accepted and solved through the log isomorphism: mu then measures the
     l_inf error of log-domain residuals (i.e. a relative error), which is
-    recorded in ``notes``.  Other cloda reject the MMAE method.
+    recorded in ``notes``.  Other cloda reject the MMAE method.  Columns of A
+    that are entirely bottom are warned of and recorded in ``notes`` too.
     """
     if method not in ("gle", "mmae"):
         raise ValueError(f"unknown method {method!r}")
@@ -145,15 +153,14 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
             inner,
             x_hat=TropicalVector(np.exp(inner.x_hat.values), clodum),
             x_tilde=TropicalVector(np.exp(inner.x_tilde.values), clodum),
-            notes=("max-times solved via the log isomorphism; mu and residuals are log-domain",),
+            notes=(*inner.notes, "max-times solved via the log isomorphism; mu and residuals are log-domain"),
         )
     if method == "mmae" and clodum != MAX_PLUS:
         raise UnsupportedClodumError(
             f"the MMAE solution is only l_inf-optimal for max-plus, not {clodum.spec_string()}"
         )
 
-    _warn_dead_columns(A)
-    return _solve_checked(A, b, method)
+    return _solve_checked(A, b, method, _warn_dead_columns(A))
 
 
 def mmae_solution(A: TropicalMatrix, b: TropicalVector) -> SolveResult:

@@ -5,6 +5,7 @@ import csv
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -19,9 +20,19 @@ from hypothesis import strategies as st
 
 from oracles import eval_text_per_row, grid_text_per_row, ingest_csv_per_cell, residual_text_per_row
 import tropalg.cli
-from tropalg import MAX_PLUS, TropicalMatrix, fit_plane, read_polynomial, write_polynomial, write_tropmat
+import tropalg.formats
+from tropalg import (
+    MAX_PLUS,
+    TropicalMatrix,
+    fit_plane,
+    read_polynomial,
+    read_tropmat,
+    read_tropvec,
+    write_polynomial,
+    write_tropmat,
+)
 from tropalg.cli import Dataset, _model_grid, _residual_table, _table_text, ingest_csv, main
-from tropalg.clodum import TropicalError
+from tropalg.clodum import CarrierError, TropicalError
 from tropalg.regression import AutoSlopes, FitProblem, fit_max_affine
 
 INF = float("inf")
@@ -282,8 +293,8 @@ def test_ingest_streamed_path_matches_per_cell_reader(text, has_header, target):
 ], ids=lambda v: repr(v)[:40])
 def test_csv_stream_or_csv_module(monkeypatch, tmp_path, text, has_header, streamed):
     calls = []
-    csv_module_reader = tropalg.cli._read_csv_cells
-    monkeypatch.setattr(tropalg.cli, "_read_csv_cells",
+    csv_module_reader = tropalg.formats._read_csv_cells
+    monkeypatch.setattr(tropalg.formats, "_read_csv_cells",
                         lambda *a: calls.append(a) or csv_module_reader(*a))
     path = tmp_path / "d.csv"
     path.write_text(text, encoding="utf-8", newline="")
@@ -322,7 +333,7 @@ def test_long_line_scan_matches_a_split(tmp_path):
         limit = int(rng.integers(1, 13))
         path.write_bytes(data)
         lines = data.replace(b"\r", b"\n").split(b"\n")
-        assert tropalg.cli._has_long_line(str(path), limit) == any(len(ln) > limit for ln in lines)
+        assert tropalg.formats._has_long_line(str(path), limit) == any(len(ln) > limit for ln in lines)
 
 def test_ingest_peak_memory_is_a_small_multiple_of_the_values(tmp_path):
     # the csv-module reader holds every cell as a string, over ten times the
@@ -1154,3 +1165,151 @@ def test_fit_random_slope_files_exit_0_or_2(dims, rows):
                        "--method", "mmae", "--out", str(Path(tmp) / "run")])
         assert rc in (0, 2)
         assert (rc == 2) == err.getvalue().startswith("tropalg: error:")
+
+
+# ---------------------------------------------------------------------------
+# read errors name their file
+
+
+@pytest.mark.parametrize("argv, bad, text, message", [
+    (["solve", "{bad}", "{b}"], "A.txt", "tropmat 1 2 max-plus\n0 x\n",
+     "bad tropmat entry: could not convert string to float: 'x'"),
+    (["solve", "{A}", "{bad}"], "b.txt", "tropmat 2 1 max-plus\n0\nx\n",
+     "bad tropmat entry: could not convert string to float: 'x'"),
+    (["solve", "{bad}", "{b}"], "A.txt", "tropmat 1 2 max-plus\n0 nan\n",
+     "NaN is not an element of the max-plus carrier"),
+    (["solve", "{A}", "{bad}"], "b.txt", "tropmat 2 2 max-plus\n0 1\n2 3\n",
+     "expected a vector-shaped tropmat, got 2x2"),
+    (["eval", "{bad}", "--at", "1"], "p.txt", "troppoly max max-plus\nfoo\n",
+     "term line missing '|' separator: 'foo'"),
+    (["polytope", "{p}", "{bad}"], "q.txt", "troppoly max max-min\n1 | 2\n",
+     "max-min carrier is [0, 1]; got a value outside it"),
+], ids=["tropmat-matrix", "tropmat-rhs", "tropmat-carrier", "tropvec-shape", "troppoly-eval",
+        "troppoly-polytope"])
+def test_read_errors_name_the_file(argv, bad, text, message, tmp_path, capsys):
+    files = {"A": tmp_path / "A.txt", "b": tmp_path / "b.txt", "p": tmp_path / "p.txt"}
+    write_tropmat(files["A"], TropicalMatrix([[0.0, 1.0]], MAX_PLUS))
+    write_tropmat(files["b"], TropicalMatrix([[2.0]], MAX_PLUS))
+    files["p"].write_text(_LINE_POLY, encoding="utf-8")
+    (tmp_path / bad).write_text(text, encoding="utf-8")
+    rc = main([a.format(bad=tmp_path / bad, **files) for a in argv])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {tmp_path / bad}: {message}\n"
+
+
+def test_read_errors_keep_their_type(tmp_path):
+    path = tmp_path / "M.txt"
+    path.write_text("tropmat 1 1 max-min\n2\n", encoding="utf-8")
+    with pytest.raises(CarrierError, match=f"^{re.escape(str(path))}: max-min carrier"):
+        read_tropvec(path)
+    path.write_bytes(b"tropmat 1 1 max-plus\n\xff\n")
+    with pytest.raises(TropicalError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        read_tropmat(path)
+
+
+# ---------------------------------------------------------------------------
+# outputs are all or nothing
+
+
+def test_fit_blocked_output_leaves_no_file(line_csv, tmp_path, capsys):
+    (tmp_path / "run.grid.txt").mkdir()
+    rc = main(["fit", str(line_csv), "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"tropalg: error: [Errno 21] Is a directory: '{tmp_path / 'run.grid.txt'}'\n"
+    assert sorted(p.name for p in tmp_path.glob("run*")) == ["run.grid.txt"]
+
+
+def test_fit_outputs_replace_old_files_and_leave_no_temporaries(line_csv, tmp_path, capsys):
+    target = tmp_path / "target.model.txt"
+    target.write_text("old\n", encoding="utf-8")
+    (tmp_path / "run.model.txt").symlink_to(target)
+    (tmp_path / "run.report.txt").write_text("old\n", encoding="utf-8")
+    assert main(["fit", str(line_csv), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "run.report.txt").read_text(encoding="utf-8") == out
+    assert (tmp_path / "run.model.txt").is_symlink()  # written through the link
+    assert target.read_text(encoding="utf-8").startswith("troppoly max max-plus\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "line.csv", "run.grid.txt", "run.model.txt", "run.report.txt", "run.residuals.txt",
+        "target.model.txt"]
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "polytope"])
+def test_single_output_commands_write_all_or_nothing(command, tmp_path, capsys):
+    _write_system(tmp_path)
+    (tmp_path / "p.txt").write_text(_LINE_POLY, encoding="utf-8")
+    args = {"solve": [str(tmp_path / "A.txt"), str(tmp_path / "b.txt")],
+            "eval": [str(tmp_path / "p.txt"), "--at", "1"],
+            "polytope": [str(tmp_path / "p.txt")]}[command]
+    missing = tmp_path / "no" / "out.txt"
+    rc = main([command, *args, "--out", str(missing)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == f"tropalg: error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert main([command, *args, "--out", str(tmp_path / "out.txt")]) == 0
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8") == capsys.readouterr().out
+    assert not list(tmp_path.glob("*.tmp"))
+    # a device is written in place, never replaced by a regular file
+    assert main([command, *args, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+# ---------------------------------------------------------------------------
+# warnings reach the reports, not stderr
+
+
+def _duplicated_points_csv(tmp_path):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, (60, 2))
+    x[:12] = x[0]
+    f = np.abs(x[:, 0]) + np.abs(x[:, 1])
+    path = tmp_path / "dup.csv"
+    path.write_text("x,y,f\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in np.column_stack([x, f]).tolist()),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--slopes", "auto:3"], "warnings: skipped 13 samples with rank-deficient neighbourhoods"),
+    (["--sweep-k", "1:3"], "warnings: skipped 13 samples with rank-deficient neighbourhoods"),
+])
+def test_fit_skipped_neighbourhoods_reach_the_report(argv, line, tmp_path, capsys):
+    data = _duplicated_points_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a Python warning would fail the run
+        rc = main(["fit", str(data), *argv, "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert line in out.splitlines()
+
+
+def test_solve_dead_columns_reach_the_report(tmp_path, capsys):
+    write_tropmat(tmp_path / "A.txt", TropicalMatrix([[1.0, -INF], [3.0, -INF]], MAX_PLUS))
+    write_tropmat(tmp_path / "b.txt", TropicalMatrix([[1.0], [2.0]], MAX_PLUS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", str(tmp_path / "A.txt"), str(tmp_path / "b.txt")])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert "note: columns [1] of A are entirely bottom; solution components set to top" in out.splitlines()
+
+
+# ---------------------------------------------------------------------------
+# fit errors in command-line terms
+
+
+def test_fit_auto_slopes_off_max_plus_names_what_works(line_csv, capsys):
+    rc = main(["fit", str(line_csv), "--clodum", "max-min", "--slopes", "auto:2"])
+    assert _one_line_usage_error(rc, capsys) == (
+        "tropalg: error: estimated slopes are general vectors and need max-plus, not max-min; "
+        "other cloda take given one-hot or zero slope rows, such as --slopes line or plane, "
+        "or a slope file of such rows\n")
+
+
+def test_fit_carrier_error_names_the_dataset_and_sample(tmp_path, capsys):
+    data = tmp_path / "neg.csv"
+    data.write_text("x,f\n0.5,0.5\n-2,0.3\n0.2,1.5\n", encoding="utf-8")
+    rc = main(["fit", str(data), "--clodum", "max-min", "--slopes", "line"])
+    assert _one_line_usage_error(rc, capsys) == (
+        f"tropalg: error: {data}: max-min carrier is [0, 1]; got a value outside it: "
+        "sample 1 (x = -2.0), f = 0.3\n")

@@ -1,5 +1,6 @@
 """Round-trips of the plain-text matrix and polynomial formats."""
 
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -66,7 +67,7 @@ def test_tropmat_negative_dimensions(tmp_path, text):
         parse_tropmat(text)
     path = tmp_path / "M.txt"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(TropicalError, match=f"^bad tropmat dimensions: {dims}$"):
+    with pytest.raises(TropicalError, match=f"^{re.escape(str(path))}: bad tropmat dimensions: {dims}$"):
         read_tropmat(path)
 
 
@@ -76,6 +77,13 @@ def _tropmat_outcome(read, arg):
     except Exception as exc:  # both readers must fail the same way
         return type(exc), str(exc)
     return M.values.shape, M.values.tobytes(), M.clodum
+
+
+def _named(outcome, path):
+    """The outcome of reading the same text from ``path``: an error names the file."""
+    if isinstance(outcome[0], type):
+        return outcome[0], f"{path}: {outcome[1]}"
+    return outcome
 
 
 _ENTRY = st.one_of(
@@ -120,7 +128,7 @@ def test_tropmat_readers_match_per_token_parser(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "M.txt"
         path.write_bytes(text.encode("utf-8"))
-        assert _tropmat_outcome(read_tropmat, path) == expected
+        assert _tropmat_outcome(read_tropmat, path) == _named(expected, path)
 
 
 @pytest.mark.parametrize("text, streamed", [

@@ -30,7 +30,7 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _fit_terms, _gradients, _jenks_breaks, _kmeans
+from tropalg.regression import _fit_terms, _gradients, _jenks_breaks, _kmeans, _sweep_fits
 
 INF = float("inf")
 
@@ -233,6 +233,13 @@ def test_fits_validate_their_samples_once(fit, dim, clodum, monkeypatch):
 
     assert scans(f) == 1
     assert [scans(x[:, d]) for d in range(dim)] == [1] * dim
+
+
+def test_fit_carrier_error_names_the_first_sample_outside():
+    x = np.array([0.5, 0.25, -2.0, 3.0])
+    f = np.array([0.5, 1.5, 0.5, 0.5])  # sample 1 is the first outside, by its target
+    with pytest.raises(CarrierError, match=r"got a value outside it: sample 1 \(x = 0\.25\), f = 1\.5$"):
+        fit_line(x, f, MAX_MIN)
 
 
 @pytest.mark.parametrize("clodum, x, err, match", [
@@ -479,6 +486,21 @@ def test_estimate_slopes_nd_skips_degenerate_neighbourhoods_like_former():
     assert got.tobytes() == want.tobytes()
 
 
+def test_fit_reports_carry_the_skipped_neighbourhoods():
+    # the estimate's warning is raised for the caller and leads the report's
+    # warnings, in a single fit and in every fit of a sweep
+    x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
+    problem = FitProblem(x, f, AutoSlopes(4, 5))
+    message = "skipped 22 samples with rank-deficient neighbourhoods"
+    with pytest.warns(UserWarning, match=f"^{message}$"):
+        report = fit_max_affine(problem)
+    assert report.warnings[0] == message
+    with pytest.warns(UserWarning, match=f"^{message}$"):
+        sweep = list(_sweep_fits(problem, "gle", range(4, 7)))
+    assert [rep.warnings[0] for rep in sweep] == [message] * 3
+    assert sweep[0].model.slopes.tobytes() == report.model.slopes.tobytes()
+
+
 def test_estimate_slopes_nd_near_rank_tolerance_like_former():
     # nearly collinear neighbourhoods whose smallest singular value lies
     # around matrix_rank's tolerance, 8 * eps * s_max with s_max ~ 3
@@ -645,7 +667,7 @@ def test_fit_max_affine_rejects_non_maxplus():
             (GivenSlopes(np.array([[0.5, 0.0]])), "gle", "general slope vectors need max-plus"),
             (GivenSlopes(np.array([[1.0, 1.0]])), "gle", "general slope vectors need max-plus"),
             (GivenSlopes(rows), "mmae", "MMAE"),
-            (AutoSlopes(2), "gle", "fit_max_affine composes general slope vectors"),
+            (AutoSlopes(2), "gle", "estimated slopes are general vectors and need max-plus"),
         ]
         for policy, method, message in cases:
             with pytest.raises(UnsupportedClodumError, match=message):

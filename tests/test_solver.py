@@ -89,6 +89,15 @@ def test_gle_all_bottom_column_warns_and_tops():
     assert x_hat.values[1] == -1.0
 
 
+@pytest.mark.parametrize("method", ["gle", "mmae"])
+def test_solve_records_dead_columns_in_notes(method):
+    A = _mat([[-INF, 0], [-INF, 1]])
+    b = _vec([0, 0])
+    with pytest.warns(UserWarning, match=r"^columns \[0\] of A are entirely bottom"):
+        res = solve(A, b, method)
+    assert res.notes == ("columns [0] of A are entirely bottom; solution components set to top",)
+
+
 @pytest.mark.parametrize("clodum", [MAX_PLUS, MAX_TIMES, MAX_MIN, max_softmin(0.5)],
                          ids=lambda c: c.spec_string())
 def test_gle_minimizes_every_lp_norm(clodum):

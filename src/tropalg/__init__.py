@@ -9,138 +9,15 @@ Newton polytopes and halfspaces (:mod:`tropalg.tropgeom`), and max-affine
 regression (:mod:`tropalg.regression`).
 """
 
-from .clodum import (
-    MAX_MIN,
-    MAX_PLUS,
-    MAX_TIMES,
-    CarrierError,
-    Clodum,
-    TropicalError,
-    UnsupportedClodumError,
-    max_softmin,
-    soft_add,
-)
-from .formats import (
-    format_polynomial,
-    format_tropmat,
-    parse_polynomial,
-    parse_tropmat,
-    read_polynomial,
-    read_tropmat,
-    read_tropvec,
-    write_polynomial,
-    write_tropmat,
-)
-from .regression import (
-    AutoSlopes,
-    FitProblem,
-    FitReport,
-    GivenSlopes,
-    estimate_slopes_1d,
-    estimate_slopes_nd,
-    fit_line,
-    fit_max_affine,
-    fit_plane,
-    least_squares_line,
-)
-from .solver import (
-    SolveResult,
-    canonical_projection,
-    greatest_subsolution,
-    hilbert_metric,
-    mmae_solution,
-    solve,
-)
-from .tropgeom import (
-    Polytope,
-    TropicalHalfspace,
-    TropicalPolynomial,
-    argmax_terms,
-    convex_hull_2d,
-    halfspace_contains,
-    newton_polytope,
-    on_variety,
-    polytope_equal,
-    polytope_join,
-    polytope_minkowski_sum,
-    tropical_max,
-    tropical_sum,
-)
-from .wlattice import (
-    ClodumMismatchError,
-    DimensionMismatchError,
-    Signal1D,
-    TropicalMatrix,
-    TropicalVector,
-    conj_transpose,
-    matmul_dilate,
-    matmul_erode,
-    matvec_dilate,
-    matvec_erode,
-    signal_dilate,
-    signal_erode,
-)
+from . import clodum, formats, regression, solver, tropgeom, wlattice
+from .clodum import *
+from .formats import *
+from .regression import *
+from .solver import *
+from .tropgeom import *
+from .wlattice import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_MIN",
-    "MAX_PLUS",
-    "MAX_TIMES",
-    "CarrierError",
-    "Clodum",
-    "TropicalError",
-    "UnsupportedClodumError",
-    "max_softmin",
-    "soft_add",
-    "ClodumMismatchError",
-    "DimensionMismatchError",
-    "Signal1D",
-    "TropicalMatrix",
-    "TropicalVector",
-    "conj_transpose",
-    "matmul_dilate",
-    "matmul_erode",
-    "matvec_dilate",
-    "matvec_erode",
-    "signal_dilate",
-    "signal_erode",
-    "SolveResult",
-    "canonical_projection",
-    "greatest_subsolution",
-    "hilbert_metric",
-    "mmae_solution",
-    "solve",
-    "Polytope",
-    "TropicalHalfspace",
-    "TropicalPolynomial",
-    "argmax_terms",
-    "convex_hull_2d",
-    "halfspace_contains",
-    "newton_polytope",
-    "on_variety",
-    "polytope_equal",
-    "polytope_join",
-    "polytope_minkowski_sum",
-    "tropical_max",
-    "tropical_sum",
-    "AutoSlopes",
-    "FitProblem",
-    "FitReport",
-    "GivenSlopes",
-    "estimate_slopes_1d",
-    "estimate_slopes_nd",
-    "fit_line",
-    "fit_max_affine",
-    "fit_plane",
-    "least_squares_line",
-    "format_polynomial",
-    "format_tropmat",
-    "parse_polynomial",
-    "parse_tropmat",
-    "read_polynomial",
-    "read_tropmat",
-    "read_tropvec",
-    "write_polynomial",
-    "write_tropmat",
-]
+__all__ = (clodum.__all__ + wlattice.__all__ + solver.__all__ + tropgeom.__all__
+           + regression.__all__ + formats.__all__)

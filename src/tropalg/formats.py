@@ -43,7 +43,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .clodum import Clodum, TropicalError
+from .clodum import CarrierError, Clodum, TropicalError
 from .tropgeom import TropicalPolynomial
 from .wlattice import TropicalMatrix, TropicalVector
 
@@ -200,7 +200,8 @@ def format_polynomial(poly: TropicalPolynomial) -> str:
 
 
 def parse_polynomial(text: str) -> TropicalPolynomial:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    lines = [ln for _, ln in numbered]
     if not lines or not lines[0].startswith("troppoly"):
         raise TropicalError("not a polynomial document: expected header 'troppoly <orientation> <clodum>'")
     head = lines[0].split()
@@ -223,7 +224,14 @@ def parse_polynomial(text: str) -> TropicalPolynomial:
     widths = {len(s) for s in slopes}
     if len(widths) != 1:
         raise TropicalError("term lines disagree on dimension")
-    return TropicalPolynomial(np.array(slopes), np.array(intercepts), clodum, orientation)
+    try:
+        return TropicalPolynomial(np.array(slopes), np.array(intercepts), clodum, orientation)
+    except CarrierError as exc:
+        # the first term whose intercept is NaN or outside the carrier, by its
+        # line number in the text, blank lines included
+        b = np.array(intercepts)
+        k = int(np.argmin((b >= clodum.bottom) & (b <= clodum.top)))
+        raise CarrierError(f"{exc}: line {numbered[k + 1][0]}, intercept {intercepts[k]!r}") from None
 
 
 def write_polynomial(path, poly: TropicalPolynomial) -> None:

@@ -444,18 +444,13 @@ class TropicalHalfspace:
             raise DimensionMismatchError("lhs and rhs must be equal-length vectors of n+1 entries")
         if np.isnan(lhs).any() or np.isnan(rhs).any():
             raise TropicalError("halfspace coefficients cannot be NaN")
-        if self.orientation == "max":
-            if np.isposinf(lhs).any() or np.isposinf(rhs).any():
-                raise TropicalError("max-form coefficients live in R union {-inf}")
-            if not np.all(np.minimum(lhs, rhs) == -_INF):
-                raise TropicalError("each slot needs a coefficient on only one side (the other -inf)")
-        elif self.orientation == "min":
-            if np.isneginf(lhs).any() or np.isneginf(rhs).any():
-                raise TropicalError("min-form coefficients live in R union {+inf}")
-            if not np.all(np.maximum(lhs, rhs) == _INF):
-                raise TropicalError("each slot needs a coefficient on only one side (the other +inf)")
-        else:
+        if self.orientation not in ("max", "min"):
             raise TropicalError(f"orientation must be 'max' or 'min', got {self.orientation!r}")
+        absent = -_INF if self.orientation == "max" else _INF
+        if (lhs == -absent).any() or (rhs == -absent).any():
+            raise TropicalError(f"{self.orientation}-form coefficients live in R union {{{absent:+}}}")
+        if not np.all((lhs == absent) | (rhs == absent)):
+            raise TropicalError(f"each slot needs a coefficient on only one side (the other {absent:+})")
         lhs.flags.writeable = False
         rhs.flags.writeable = False
         object.__setattr__(self, "lhs", lhs)
@@ -475,6 +470,5 @@ def halfspace_contains(h: TropicalHalfspace, x) -> bool:
         raise TropicalError("membership points must be finite")
     left_terms = np.append(h.lhs[:-1] + pt, h.lhs[-1])
     right_terms = np.append(h.rhs[:-1] + pt, h.rhs[-1])
-    if h.orientation == "max":
-        return bool(np.max(left_terms) <= np.max(right_terms))
-    return bool(np.min(left_terms) <= np.min(right_terms))
+    reduce = np.max if h.orientation == "max" else np.min
+    return bool(reduce(left_terms) <= reduce(right_terms))

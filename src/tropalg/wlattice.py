@@ -9,12 +9,14 @@ reductions over an empty index set follow lattice completeness conventions
 Memory and loop bounds: a matrix product reduces row slabs of its left operand
 against the whole right operand, so no temporary holds more than
 ``max(_SLAB_ELEMS, k*n)`` elements (k*n is the size of the right operand); it
-never builds the m*k*n tensor.  The matrix-vector products reduce row slabs of
-the matrix the same way, and so does polynomial evaluation
-(``tropgeom.TropicalPolynomial.evaluate``) with its term table, so neither
-builds a temporary of the matrix's or table's size.  A signal convolution
-loops in Python over the shorter of its two supports and treats the longer one
-as a single vector op.  Each output entry meets its operands in the same order
+never builds the m*k*n tensor.  The matrix-vector dilation is that product
+with the vector as one column, in the same row slabs.  The matrix-vector
+erosion reduces row slabs of the matrix the same way, and so does polynomial
+evaluation (``tropgeom.TropicalPolynomial.evaluate``) with its term table, so
+neither builds a temporary of the matrix's or table's size.  Both signal
+convolutions run one loop, in Python over the shorter of the two supports,
+treating the longer one as a single vector op; erosion runs it with the kernel
+reversed.  Each output entry meets its operands in the same order
 whatever the slab or loop axis, so results are reproducible to the bit, signed
 zeros included.
 """
@@ -138,21 +140,15 @@ def _same_clodum(a, b) -> Clodum:
 def matvec_dilate(A: TropicalMatrix, x: TropicalVector) -> TropicalVector:
     """Matrix-vector dilation product: result_i = sup_j mul(a_ij, x_j).
 
-    Runs in row slabs of A, like :func:`matmul_dilate`: each output entry is
-    reduced from the same row of kernel values whatever the slab height.
+    The matrix product of A with x as one column, in the same row slabs as
+    :func:`matmul_dilate`.
     """
     clodum = _same_clodum(A, x)
     m, n = A.shape
     if n != len(x):
         raise DimensionMismatchError(f"matrix has {n} columns but vector has {len(x)} entries")
-    if n == 0:
-        return _adopt(TropicalVector, np.full(m, clodum.bottom), clodum)
-    out = np.empty(m)
-    row = x.values[None, :]
-    rows = max(1, _SLAB_ELEMS // n)
-    for r in range(0, m, rows):
-        np.max(clodum._mul(A.values[r:r + rows], row), axis=1, out=out[r:r + rows])
-    return _adopt(TropicalVector, out, clodum)
+    out = _product(A.values, x.values[:, None], clodum, dual=False)
+    return _adopt(TropicalVector, out.reshape(m), clodum)
 
 
 def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
@@ -185,30 +181,34 @@ def matvec_erode(A: TropicalMatrix, y: TropicalVector) -> TropicalVector:
     return _adopt(TropicalVector, out, clodum)
 
 
-def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:
-    """Sup-mul product, or with ``dual`` inf-dual-mul, one slab of rows of A at a time.
+def _product(a: np.ndarray, b: np.ndarray, clodum: Clodum, dual: bool) -> np.ndarray:
+    """Sup-mul product of two arrays, or with ``dual`` inf-dual-mul, one slab of rows of a at a time.
 
     A slab holds as many rows as fit ``_SLAB_ELEMS`` elements of the
     (rows, k, n) product, and at least one.  Each output row is reduced from
     the same (k, n) block it would be in the full m*k*n tensor, so the slab
     height cannot change a bit of the result.
     """
-    clodum = _same_clodum(A, B)
-    m, k = A.shape
-    k2, n = B.shape
-    if k != k2:
-        raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
+    m, k = a.shape
+    n = b.shape[1]
     kernel, reduce, empty = ((clodum._dual_mul, np.min, clodum.top) if dual
                              else (clodum._mul, np.max, clodum.bottom))
     if k == 0:
-        return _adopt(TropicalMatrix, np.full((m, n), empty), clodum)
+        return np.full((m, n), empty)
     out = np.empty((m, n))
     rows = max(1, _SLAB_ELEMS // max(k * n, 1))
-    b = B.values[None, :, :]
+    b = b[None, :, :]
     for r in range(0, m, rows):
-        slab = kernel(A.values[r:r + rows, :, None], b)
-        reduce(slab, axis=1, out=out[r:r + rows])
-    return _adopt(TropicalMatrix, out, clodum)
+        reduce(kernel(a[r:r + rows, :, None], b), axis=1, out=out[r:r + rows])
+    return out
+
+
+def _matmul(A: TropicalMatrix, B: TropicalMatrix, dual: bool) -> TropicalMatrix:
+    clodum = _same_clodum(A, B)
+    k, k2 = A.shape[1], B.shape[0]
+    if k != k2:
+        raise DimensionMismatchError(f"inner dimensions differ: {k} vs {k2}")
+    return _adopt(TropicalMatrix, _product(A.values, B.values, clodum, dual), clodum)
 
 
 def matmul_dilate(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
@@ -254,7 +254,14 @@ class Signal1D:
         _freeze(self, "values", self.values, self.clodum, 1)
         if len(self.values) == 0:
             raise DimensionMismatchError("signal support must be non-empty")
-        object.__setattr__(self, "origin", int(self.origin))
+        try:
+            origin = int(self.origin)
+        except (TypeError, ValueError, OverflowError):  # NaN, +-inf, no number at all
+            origin = None
+        # int() truncates 1.5 and parses '3': neither equals the int it gives
+        if origin is None or origin != self.origin:
+            raise TropicalError(f"signal origin must be an integer, got {self.origin!r}")
+        object.__setattr__(self, "origin", origin)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -279,6 +286,35 @@ class Signal1D:
         return out
 
 
+def _convolve(v: np.ndarray, k: np.ndarray, clodum: Clodum, dual: bool) -> np.ndarray:
+    """Sup-mul convolution of samples ``v`` with kernel ``k``, or with ``dual``
+    the inf-adjoint-erosion one with the kernel reversed.
+
+    Loops over the shorter support: min(len(v), len(k)) kernel calls, each a
+    vector op over the longer one.  Either way every output sample takes its
+    running sup (inf) over the samples of ``v`` in increasing order.
+    """
+    if dual:
+        # adjoint_erosion takes the kernel sample first: max-min and softmin
+        # pick one of two tied signed zeros by operand order
+        k = k[::-1]
+        kernel, combine, fill = (lambda a, b: clodum._adjoint_erosion(b, a)), np.minimum, clodum.top
+    else:
+        kernel, combine, fill = clodum._mul, np.maximum, clodum.bottom
+    nv, nk = len(v), len(k)
+    out = np.full(nv + nk - 1, fill)
+    if nv <= nk:
+        for i in range(nv):
+            seg = out[i:i + nk]
+            combine(seg, kernel(v[i], k), out=seg)
+    else:
+        # taps in reverse: output p = i + t then meets v_i in increasing i
+        for t in range(nk - 1, -1, -1):
+            seg = out[t:t + nv]
+            combine(seg, kernel(v, k[t]), out=seg)
+    return out
+
+
 def signal_dilate(f: Signal1D, h: Signal1D) -> Signal1D:
     """Sup-mul convolution (f (+) h)(x) = sup_y mul(f(y), h(x - y)).
 
@@ -288,39 +324,18 @@ def signal_dilate(f: Signal1D, h: Signal1D) -> Signal1D:
     running sup over the samples of ``f`` in increasing order.
     """
     clodum = _same_clodum(f, h)
-    nf, nh = len(f), len(h)
-    out = np.full(nf + nh - 1, clodum.bottom)
-    if nf <= nh:
-        for i in range(nf):
-            seg = out[i:i + nh]
-            np.maximum(seg, clodum._mul(f.values[i], h.values), out=seg)
-    else:
-        # taps in reverse: output x = i + t then meets f_i in increasing i
-        for t in range(nh - 1, -1, -1):
-            seg = out[t:t + nf]
-            np.maximum(seg, clodum._mul(f.values, h.values[t]), out=seg)
-    return _adopt(Signal1D, out, clodum, origin=f.origin + h.origin)
+    return _adopt(Signal1D, _convolve(f.values, h.values, clodum, dual=False), clodum,
+                  origin=f.origin + h.origin)
 
 
 def signal_erode(g: Signal1D, h: Signal1D) -> Signal1D:
     """Adjoint erosion of dilation by ``h``: inf_x adjoint_erosion(h(x - y), g(x)).
 
     ``(signal_dilate(., h), signal_erode(., h))`` is an adjunction on
-    bottom/top-padded signals.  Loops over the shorter support, like
-    :func:`signal_dilate`; every output sample takes its running inf over the
+    bottom/top-padded signals.  The same loop as :func:`signal_dilate`, over
+    the reversed kernel; every output sample takes its running inf over the
     samples of ``g`` in increasing order.
     """
     clodum = _same_clodum(g, h)
-    ng, nh = len(g), len(h)
-    out = np.full(ng + nh - 1, clodum.top)
-    rev = h.values[::-1]
-    if ng <= nh:
-        for j in range(ng):
-            seg = out[j:j + nh]
-            np.minimum(seg, clodum._adjoint_erosion(rev, g.values[j]), out=seg)
-    else:
-        # taps in reverse: output y = j + t then meets g_j in increasing j
-        for t in range(nh - 1, -1, -1):
-            seg = out[t:t + ng]
-            np.minimum(seg, clodum._adjoint_erosion(rev[t], g.values), out=seg)
-    return _adopt(Signal1D, out, clodum, origin=g.origin - h.origin - (nh - 1))
+    return _adopt(Signal1D, _convolve(g.values, h.values, clodum, dual=True), clodum,
+                  origin=g.origin - h.origin - (len(h) - 1))

@@ -1084,6 +1084,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_exports_each_modules_public_names():
+    # tropalg.__all__ is the six modules' own __all__, each name once, and
+    # each package name is the module's object
+    import tropalg
+
+    modules = [tropalg.clodum, tropalg.wlattice, tropalg.solver, tropalg.tropgeom, tropalg.regression,
+               tropalg.formats]
+    names = tropalg.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == set().union(*(m.__all__ for m in modules))
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(tropalg, name) is getattr(m, name), name
+
+
 # ---------------------------------------------------------------------------
 # one parser per process, no state across calls
 
@@ -1183,7 +1198,7 @@ def test_fit_random_slope_files_exit_0_or_2(dims, rows):
     (["eval", "{bad}", "--at", "1"], "p.txt", "troppoly max max-plus\nfoo\n",
      "term line missing '|' separator: 'foo'"),
     (["polytope", "{p}", "{bad}"], "q.txt", "troppoly max max-min\n1 | 2\n",
-     "max-min carrier is [0, 1]; got a value outside it"),
+     "max-min carrier is [0, 1]; got a value outside it: line 2, intercept 2.0"),
 ], ids=["tropmat-matrix", "tropmat-rhs", "tropmat-carrier", "tropvec-shape", "troppoly-eval",
         "troppoly-polytope"])
 def test_read_errors_name_the_file(argv, bad, text, message, tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import format_tropmat_per_element, parse_tropmat_per_token, report_value_per_element
 from tropalg import (
     MAX_PLUS,
+    CarrierError,
     TropicalError,
     TropicalMatrix,
     TropicalPolynomial,
@@ -257,3 +258,6 @@ def test_polynomial_parse_errors():
         parse_polynomial("troppoly max max-plus\n1 | 0\n1 2 | 0\n")  # ragged dims
     with pytest.raises(TropicalError):
         parse_polynomial("troppoly max max-plus\n")  # no terms
+    # a carrier error names the first bad term by its line, blank lines counted
+    with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: line 4, intercept nan$"):
+        parse_polynomial("troppoly max max-min\n| 0.5\n\n| nan\n| 2\n")

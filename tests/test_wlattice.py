@@ -1,5 +1,6 @@
 """Vector/matrix/signal operations: examples, oracles and adjunction laws."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from tropalg import (
     ClodumMismatchError,
     DimensionMismatchError,
     Signal1D,
+    TropicalError,
     TropicalMatrix,
     TropicalVector,
     UnsupportedClodumError,
@@ -310,6 +312,21 @@ def test_signal_impulse_identity():
     assert out_e.origin == 4 and np.array_equal(out_e.values, f.values)
 
 
+@pytest.mark.parametrize("origin, ok", [
+    (3, True), (np.int64(3), True), (3.0, True),
+    (1.5, False), (-0.7, False), (float("nan"), False), (INF, False), (-INF, False), ("3", False),
+])
+def test_signal_origin_must_be_an_integer(origin, ok):
+    values = [1.0, 2.0]
+    if ok:
+        f = Signal1D(values, origin, MAX_PLUS)
+        assert f.origin == 3 and type(f.origin) is int
+    else:
+        message = f"signal origin must be an integer, got {origin!r}"
+        with pytest.raises(TropicalError, match=f"^{re.escape(message)}$"):
+            Signal1D(values, origin, MAX_PLUS)
+
+
 def test_signal_dilate_example():
     f = Signal1D([0.0, 1.0], 0, MAX_PLUS)
     h = Signal1D([0.0, 0.0], 0, MAX_PLUS)
@@ -532,7 +549,11 @@ def test_matvec_matches_whole_table_oracle_bytes(clodum):
             for A in (TropicalMatrix(vals, clodum), TropicalMatrix(sparse, clodum)):
                 x = TropicalVector(_lattice_values(clodum, rng, n), clodum)
                 y = TropicalVector(_lattice_values(clodum, rng, m), clodum)
-                assert matvec_dilate(A, x).values.tobytes() == matvec_whole(A, x).tobytes(), (m, n)
+                got = matvec_dilate(A, x).values
+                assert got.tobytes() == matvec_whole(A, x).tobytes(), (m, n)
+                # the matrix product with x as one column, in the same slabs
+                col = matmul_dilate(A, TropicalMatrix(x.values[:, None], clodum)).values
+                assert got.tobytes() == col.tobytes(), (m, n)
                 got, want = matvec_erode(A, y).values, matvec_whole(A, y, erode=True)
                 assert got.tobytes() == want.tobytes(), (m, n)
     # a one-column erosion with sparse tied zeros, longer than a slab

@@ -34,10 +34,10 @@ from .formats import (
     _read_slopes,
     _row,
     _term_lines,
+    format_polynomial,
     read_polynomial,
     read_tropmat,
     read_tropvec,
-    write_polynomial,
 )
 from .regression import (
     AutoSlopes,
@@ -141,11 +141,11 @@ def _emit(text: str, out: str | None, *outputs) -> None:
     """Write ``text`` to ``out`` (when set) and each further ``(path,
     content)`` output, all or nothing, then print ``text``.
 
-    ``content`` is the text, or a writer called with a path.  Each output is
-    written to a new temporary file beside its path (beside the file a
-    symbolic link names), and the temporaries replace their paths only once
-    all are written; on any error they are removed, and an ``OSError`` names
-    the output path.  A path that exists but is not a regular file is written
+    Every content is text, built before this call.  Each output is written to
+    a new temporary file beside its path (beside the file a symbolic link
+    names), and the temporaries replace their paths only once all are
+    written; on any error they are removed, and an ``OSError`` names the
+    output path.  A path that exists but is not a regular file is written
     in place: a directory fails there, before any path is replaced, as a
     direct write would, and a device or pipe takes the text as it comes.
     """
@@ -163,10 +163,7 @@ def _emit(text: str, out: str | None, *outputs) -> None:
                 with open(target, mode, encoding="utf-8") as fh:
                     if mode == "x":
                         temps.append((target, final))
-                    if not callable(content):
-                        fh.write(content)
-                if callable(content):
-                    content(target)
+                    fh.write(content)
             except OSError as exc:
                 raise type(exc)(exc.errno, exc.strerror, path) from None
         for target, final in temps:
@@ -295,14 +292,14 @@ def run_fit(args) -> int:
         pairs.append(("lse_baseline", f"a={a_ls!r} b={b_ls!r} rms={float(np.sqrt(np.mean(res**2)))!r}"))
     pairs.append(("warnings", "; ".join(report.warnings) if report.warnings else "none"))
 
-    # every text is built before any output is written; the model text is
-    # reprs of validated floats and cannot fail
+    # every text is built before any output is written
     report_text = _report_lines("fit", pairs)
+    model_text = format_polynomial(report.model)
     grid_text = _model_grid(report, data, 101 if args.grid is None else args.grid)
     residual_text = _residual_table(report, data)
     out = args.out or str(Path(args.data).with_suffix("")) + f".{args.method}"
     _emit(report_text, out + ".report.txt",
-          (out + ".model.txt", lambda path: write_polynomial(path, report.model)),
+          (out + ".model.txt", model_text),
           (out + ".grid.txt", grid_text),
           (out + ".residuals.txt", residual_text))
     return 0

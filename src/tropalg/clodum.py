@@ -235,6 +235,13 @@ class Clodum:
             return False
         return True
 
+    def _first_outside(self, values) -> tuple[int, ...]:
+        """The index, in row-major order, of the first value outside the
+        carrier, NaN included: the place a failed :meth:`validate` names."""
+        arr = np.asarray(values, dtype=float)
+        inside = (arr >= self.bottom) & (arr <= self.top)
+        return tuple(map(int, np.unravel_index(np.argmin(inside), arr.shape)))
+
     # -- operations: the public methods validate, the unchecked kernels trust --
 
     def _mul(self, a, b):

@@ -29,8 +29,10 @@ parsers are the only source of error messages.
 
 Every error raised while reading a file names it: undecodable bytes, and the
 parse, shape and carrier errors of a tropmat or troppoly file, which start
-with ``<path>: `` and keep their type.  :func:`parse_tropmat` and
-:func:`parse_polynomial` read text and name no file.
+with ``<path>: `` and keep their type.  A carrier error also names where the
+value lies: the row and column of a tropmat entry, the line of a troppoly
+intercept.  :func:`parse_tropmat` and :func:`parse_polynomial` read text and
+name no file.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _loadtxt(fh, delimiter=None, ndmin=1):
 # -- tropmat
 
 
-def _parse_tropmat_tokens(text: str) -> TropicalMatrix:
+def _parse_tropmat_tokens(text: str) -> tuple[np.ndarray, Clodum]:
+    """The m×n entries and clodum of a tropmat text, split into tokens."""
     tokens = text.split()
     if len(tokens) < 4 or tokens[0] != "tropmat":
         raise TropicalError("not a tropmat document: expected header 'tropmat <m> <n> <clodum>'")
@@ -132,12 +135,12 @@ def _parse_tropmat_tokens(text: str) -> TropicalMatrix:
         values = np.array([float(t) for t in entries]).reshape(m, n)
     except ValueError as exc:
         raise TropicalError(f"bad tropmat entry: {exc}") from exc
-    return TropicalMatrix(values, clodum)
+    return values, clodum
 
 
 def _stream_tropmat_entries(fh):
-    """The m×n entries and clodum string of a regular tropmat stream, or
-    None when the stream needs the per-token parser (module docstring)."""
+    """The m×n entries and clodum of a regular tropmat stream, or None when
+    the stream needs the per-token parser (module docstring)."""
     head = fh.readline().split()
     if len(head) != 4 or head[0] != "tropmat":
         return None
@@ -150,16 +153,20 @@ def _stream_tropmat_entries(fh):
     values = _loadtxt(fh)
     if values is None or values.size != m * n:
         return None
-    return values.reshape(m, n), head[3]
+    return values.reshape(m, n), Clodum.parse(head[3])
 
 
 def _read_tropmat(fh) -> TropicalMatrix:
     streamed = _stream_tropmat_entries(fh)
     if streamed is None:
         fh.seek(0)
-        return _parse_tropmat_tokens(fh.read())
-    values, spec = streamed
-    return TropicalMatrix(values, Clodum.parse(spec))
+        streamed = _parse_tropmat_tokens(fh.read())
+    values, clodum = streamed
+    try:
+        return TropicalMatrix(values, clodum)
+    except CarrierError as exc:
+        i, j = clodum._first_outside(values)
+        raise CarrierError(f"{exc}: row {i}, column {j}") from None
 
 
 def format_tropmat(matrix: TropicalMatrix) -> str:
@@ -200,7 +207,9 @@ def format_polynomial(poly: TropicalPolynomial) -> str:
 
 
 def parse_polynomial(text: str) -> TropicalPolynomial:
-    numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    # lines end at \n, \r\n or \r only, as in a file read as text
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    numbered = [(i, ln.strip()) for i, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     lines = [ln for _, ln in numbered]
     if not lines or not lines[0].startswith("troppoly"):
         raise TropicalError("not a polynomial document: expected header 'troppoly <orientation> <clodum>'")
@@ -229,8 +238,7 @@ def parse_polynomial(text: str) -> TropicalPolynomial:
     except CarrierError as exc:
         # the first term whose intercept is NaN or outside the carrier, by its
         # line number in the text, blank lines included
-        b = np.array(intercepts)
-        k = int(np.argmin((b >= clodum.bottom) & (b <= clodum.top)))
+        k = clodum._first_outside(intercepts)[0]
         raise CarrierError(f"{exc}: line {numbered[k + 1][0]}, intercept {intercepts[k]!r}") from None
 
 
@@ -313,10 +321,12 @@ def _read_csv_cells(fh, path: str, has_header: bool):
     """The header cells (or None) and the values of a CSV stream, read record
     by record with the csv module, each cell parsed as its row is read, so
     the first defect in file order raises; every reader error message comes
-    from here."""
+    from here.  The reader is strict, so a character after a quoted cell's
+    closing quote, other than a comma or a line end, is refused rather than
+    joined to the cell, and every message shows only text the file holds."""
     rows: list[list[float]] = []
     columns: list[str] | None = None
-    reader = csv.reader(fh)
+    reader = csv.reader(fh, strict=True)
     try:
         for record in reader:
             cells = [c.strip() for c in record]

@@ -4,16 +4,19 @@ Fitting happens in two stages.  First the slope vectors are supplied or
 estimated from the data's derivatives, which itself takes two steps: a pool
 of candidates is taken once (finite differences of 1-D data, local
 least-squares gradients of n-D data), and a selection reduces the pool to K
-slopes (natural-breaks clustering in 1-D, seeded k-means in n-D).  A single
-fit selects for one K, and a sweep over K selects from the same pool for
-each K.  Then the optimal intercepts come in closed form as the solution of
-the design system X (*) b = f, where column k of X is term k before its
-intercept: X is built by the same routine that evaluates the fitted
-polynomial.  Line, plane and max-affine fits all solve it through the same
-GLE -> mu -> MMAE routine as ``tropalg.solver.solve``: the GLE fit touches
-the data from below and minimizes every l_p residual norm among from-below
-fits, while the MMAE fit (max-plus) shifts it up by half its l_inf error,
-reaching the unconstrained l_inf optimum.
+slopes (natural-breaks clustering in 1-D, seeded k-means in n-D).  A sweep
+over K selects from the same pool for each K, and a single fit is the sweep
+over its one K.  The pool returns its notes (skipped neighbourhoods) with
+the candidates, after one Python warning where it finds them, and every
+report of the pool carries them first among its warnings.  Then the optimal
+intercepts come in closed form as the solution of the design system
+X (*) b = f, where column k of X is term k before its intercept: X is built
+by the same routine that evaluates the fitted polynomial.  Line, plane and
+max-affine fits all solve it through the same GLE -> mu -> MMAE routine as
+``tropalg.solver.solve``: the GLE fit touches the data from below and
+minimizes every l_p residual norm among from-below fits, while the MMAE fit
+(max-plus) shifts it up by half its l_inf error, reaching the unconstrained
+l_inf optimum.
 
 Supplied slopes fit over every clodum, under the polynomial's own rule: off
 max-plus each slope row is one-hot (a term acting on one coordinate) or zero
@@ -25,7 +28,6 @@ Estimated slopes are general vectors and need max-plus.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -213,11 +215,7 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
 def _outside_text(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum) -> str:
     """The first sample whose design row or target lies outside the carrier
     (NaN included), located on the error path of the carrier check."""
-    def inside(values):
-        return (values >= clodum.bottom) & (values <= clodum.top)
-
-    ok = inside(_term_design(x, slopes, clodum.unit)).all(axis=1) & inside(f)
-    i = int(np.argmin(ok))
+    i = clodum._first_outside(np.column_stack([_term_design(x, slopes, clodum.unit), f]))[0]
     return f"{_sample_text(x, i)}, f = {float(f[i])!r}"
 
 
@@ -261,17 +259,6 @@ def _check_max_affine(clodum: Clodum, method: str) -> None:
     _check_method(method, clodum)
 
 
-def _estimated(estimate, *args):
-    """``estimate(*args)`` and the messages of the user warnings it raised,
-    for a report; every warning is raised again for the caller."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = estimate(*args)
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return result, tuple(str(w.message) for w in caught if issubclass(w.category, UserWarning))
-
-
 def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     """Fit a K-term max-affine model with optimal intercepts.
 
@@ -283,37 +270,33 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
     Given slopes fit over the problem's clodum; off max-plus each row must be
     one-hot or zero, the rule of :class:`TropicalPolynomial`, which the line
     and plane rows meet.  Estimated slopes are general vectors, so they need
-    max-plus.  The warnings of the estimate (skipped neighbourhoods) are
-    raised and lead the report's warnings.
+    max-plus; they are the first fit of a sweep over the one count
+    ``policy.count`` (:func:`_sweep_fits`), so the notes of the estimate
+    (skipped neighbourhoods) lead the report's warnings.
     """
     x, f, policy = problem.inputs, problem.targets, problem.slopes
     if isinstance(policy, GivenSlopes):
         return _fit_terms(x, f, policy.values, problem.clodum, method, "given")
-    _check_max_affine(problem.clodum, method)
-    estimate, source = ((estimate_slopes_1d, "jenks") if problem.dimension == 1
-                        else (estimate_slopes_nd, "kmeans"))
-    slopes, notes = _estimated(estimate, x, f, policy.count, policy.seed)
-    return _fit_terms(x, f, slopes.reshape(policy.count, -1), MAX_PLUS, method, source, notes)
+    return next(_sweep_fits(problem, method, [policy.count]))
 
 
-def _sweep_fits(problem: FitProblem, method: str, counts: range):
-    """``fit_max_affine`` of ``problem`` with ``AutoSlopes(k, seed)`` for each
+def _sweep_fits(problem: FitProblem, method: str, counts):
+    """The reports of ``problem`` fitted with ``AutoSlopes(k, seed)`` for each
     k of the non-empty ``counts`` in turn, as a generator; ``problem`` holds
-    the first k.
+    the first k.  ``fit_max_affine`` of an ``AutoSlopes`` problem is the
+    first report of its one count.
 
     The slopes come from ``_slope_sets``, which takes the candidate pool once
     for all k, so each report, and the first error, are those of the separate
-    fits; the pool's warnings are raised once and lead every report's
-    warnings.  The problem is checked at the first k only: its one check that
-    depends on k, k <= m, never fails first at a later k, because every k >= m
-    already fails the estimator's own sample count check.
+    fits; the pool's notes are warned of once, where they are found, and lead
+    every report's warnings.  The problem is checked at the first k only: its
+    one check that depends on k, k <= m, never fails first at a later k,
+    because every k >= m already fails the estimator's own sample count check.
     """
     _check_max_affine(problem.clodum, method)
     x, f = problem.inputs, problem.targets
     one = problem.dimension == 1
-    sets = _slope_sets(x[:, 0] if one else x, f, counts, problem.slopes.seed)
-    first, notes = _estimated(next, sets)
-    for slopes in itertools.chain([first], sets):
+    for slopes, notes in _slope_sets(x[:, 0] if one else x, f, counts, problem.slopes.seed):
         yield _fit_terms(x, f, slopes, MAX_PLUS, method, "jenks" if one else "kmeans", notes)
 
 
@@ -434,14 +417,15 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.shape != f.shape:
         raise DimensionMismatchError("x and f must have equal length")
-    return next(_slope_sets(x, f, [count], seed))[:, 0]
+    return next(_slope_sets(x, f, [count], seed))[0][:, 0]
 
 
 def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
-    """Estimated slope rows for each count of ``counts`` in turn, as a
-    generator: natural breaks of the finite differences of abscissae ``x``
-    (1-D), or k-means, seeded afresh from ``seed``, of the local gradients of
-    samples ``x`` (one per row).
+    """Estimated slope rows for each count of ``counts`` in turn, with the
+    notes of the pool, as a generator of ``(slopes, notes)``: natural breaks
+    of the finite differences of abscissae ``x`` (1-D), or k-means, seeded
+    afresh from ``seed``, of the local gradients of samples ``x`` (one per
+    row).
 
     The pool (the differences, or ``_gradient_pool``) is taken once, and the
     natural-breaks DP runs once, for the largest count: row c of its table
@@ -459,16 +443,16 @@ def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
             where = "" if one else f" in {n}-D"
             raise TropicalError(f"need at least {count + n} samples for {count} slopes{where}")
         if pool is None:
-            pool = _numerical_derivatives(x, f) if one else _gradient_pool(x, f)
+            pool, notes = (_numerical_derivatives(x, f), ()) if one else _gradient_pool(x, f)
         if count > len(pool):
             kind = "derivative" if one else "gradient"
             raise TropicalError(f"only {len(pool)} {kind} samples for {count} clusters")
         if not one:
-            yield _kmeans(pool, count, np.random.default_rng(seed))
+            yield _kmeans(pool, count, np.random.default_rng(seed)), notes
             continue
         if table is None:
             table = _jenks_table(pool, min(max(counts), len(pool)))
-        yield _jenks_means(*table, count)[:, None]
+        yield _jenks_means(*table, count)[:, None], notes
 
 
 def _sq_sum(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -699,17 +683,19 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != len(f):
         raise DimensionMismatchError("x must be (m, n) with one target per sample")
-    return next(_slope_sets(x, f, [count], seed))
+    return next(_slope_sets(x, f, [count], seed))[0]
 
 
-def _gradient_pool(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The local gradients of n-D samples, one row per full-rank neighbourhood.
+def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The local gradients of n-D samples, one row per full-rank neighbourhood,
+    and the notes of the pool.
 
     Each sample's gradient comes from a least-squares affine fit over its
     max(n+2, 8) nearest neighbours.  One batched SVD per neighbourhood gives
     both the rank test and the pseudo-inverse, bit for bit what
     ``np.linalg.matrix_rank`` and ``np.linalg.pinv`` give (see
-    ``_gradients``); rank-deficient neighbourhoods are skipped with a warning.
+    ``_gradients``).  Rank-deficient neighbourhoods are skipped, with a
+    warning, and the warning is returned as a note.
 
     When the squared neighbour distances of x overflow, the neighbours and
     gradients are taken on x scaled by a power of two, exactly, so finite
@@ -737,8 +723,10 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     good, beta = _gradients(design, f[idx])
     if not good.any():
         raise TropicalError("every neighbourhood is rank-deficient; cannot estimate gradients")
+    notes = ()
     if not good.all():
-        warnings.warn(f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods")
+        notes = (f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods",)
+        warnings.warn(notes[0])
     # the gradient in x is the gradient in x * 2^shift, times 2^shift
     gradients = np.ldexp(beta[:, :n], shift)
     rows = np.flatnonzero(good)
@@ -754,7 +742,7 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         raise TropicalError(
             f"the gradient at {_sample_text(x, int(rows[np.argmax(size)]))} is too large to cluster"
         )
-    return gradients
+    return gradients, notes
 
 
 def least_squares_line(x, f) -> tuple[float, float]:

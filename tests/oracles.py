@@ -306,7 +306,8 @@ def gradients_rank_pinv(design, values):
 def ingest_csv_per_cell(path, has_header=True, target=None):
     """The library's former CSV reader: each cell goes through ``float()``
     and a NaN test as its row is read, so the first defect in file order
-    raises."""
+    raises.  The csv module's reader is strict: a character after a closing
+    quote raises ``csv.Error`` rather than joining the cell."""
     import csv
 
     from tropalg.cli import Dataset
@@ -325,7 +326,7 @@ def ingest_csv_per_cell(path, has_header=True, target=None):
     rows = []
     columns = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        for lineno, record in enumerate(csv.reader(fh, strict=True), start=1):
             cells = [c.strip() for c in record]
             if not cells or all(c == "" for c in cells):
                 continue
@@ -391,8 +392,9 @@ def eval_text_per_row(pts, vals):
 def parse_tropmat_per_token(text):
     """The library's former tropmat parser: the whole text split into tokens,
     each entry converted with ``float()``.  Negative dimensions are rejected
-    with the dimensions message, as the library now does."""
-    from tropalg.clodum import Clodum, TropicalError
+    with the dimensions message, and a carrier error names the row and column
+    of the entry, as the library now does."""
+    from tropalg.clodum import CarrierError, Clodum, TropicalError
     from tropalg.wlattice import TropicalMatrix
 
     tokens = text.split()
@@ -412,7 +414,12 @@ def parse_tropmat_per_token(text):
         values = np.array([float(t) for t in entries]).reshape(m, n)
     except ValueError as exc:
         raise TropicalError(f"bad tropmat entry: {exc}") from exc
-    return TropicalMatrix(values, clodum)
+    try:
+        return TropicalMatrix(values, clodum)
+    except CarrierError as exc:
+        # the first entry, in reading order, outside [bottom, top] (NaN included)
+        i, j = next(ij for ij, v in np.ndenumerate(values) if not clodum.bottom <= v <= clodum.top)
+        raise CarrierError(f"{exc}: row {i}, column {j}") from None
 
 
 def format_tropmat_per_element(matrix):

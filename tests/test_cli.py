@@ -183,6 +183,19 @@ def test_csv_messages_name_physical_lines(tmp_path, text, message):
         ingest_csv(p)
 
 
+@pytest.mark.parametrize("text", ['x,y\n1,2\n"3"x,4\n', 'x,y\n1,2\n3,"4" \n'], ids=["letter", "space"])
+def test_csv_character_after_closing_quote_is_refused(tmp_path, capsys, text):
+    # the cell is not read as the quoted text joined to what follows it, '3x'
+    message = "',' expected after '\"'"
+    p = tmp_path / "d.csv"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(csv.Error, match=f"^{re.escape(message)}$"):
+        ingest_csv_per_cell(p)
+    rc = main(["fit", str(p), "--out", str(tmp_path / "run")])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {p}:3: {message}\n"
+    assert not list(tmp_path.glob("run*"))
+
+
 @pytest.mark.parametrize("body, message", [
     (b"x,y\n1,2\n3,\xff\n", ": not UTF-8 text (invalid start byte)"),
     (b"x,y\n1,2\n3," + b"9" * (csv.field_size_limit() + 1) + b"\n",
@@ -1018,6 +1031,19 @@ def test_polytope_non_utf8_file_is_usage_error(tmp_path, capsys):
     assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {bad}: not UTF-8 text (invalid start byte)\n"
 
 
+def test_polytope_tol_drops_nearly_collinear_vertices(tmp_path, capsys):
+    # the term 1.25 -1e-9 lies just outside the edge from 0 0 to 2.5 0
+    p = tmp_path / "p.txt"
+    p.write_text("troppoly max max-plus\n0 0 | 0\n2.5 0 | 0\n1.25 -1e-09 | 0\n1.25 1 | 0\n",
+                 encoding="utf-8")
+    assert main(["polytope", str(p)]) == 0
+    assert "newton[0].vertices: 4" in capsys.readouterr().out.splitlines()
+    assert main(["polytope", str(p), "--tol", "1e-6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["newton[0].vertices: 3", "newton[0].vertex[0]: 0.0 0.0",
+                         "newton[0].vertex[1]: 2.5 0.0", "newton[0].vertex[2]: 1.25 1.0"]
+
+
 def test_single_term_polytope(tmp_path, capsys):
     p = tmp_path / "p1.txt"
     p.write_text("troppoly max max-plus\n2 5 | 1\n", encoding="utf-8")
@@ -1192,7 +1218,7 @@ def test_fit_random_slope_files_exit_0_or_2(dims, rows):
     (["solve", "{A}", "{bad}"], "b.txt", "tropmat 2 1 max-plus\n0\nx\n",
      "bad tropmat entry: could not convert string to float: 'x'"),
     (["solve", "{bad}", "{b}"], "A.txt", "tropmat 1 2 max-plus\n0 nan\n",
-     "NaN is not an element of the max-plus carrier"),
+     "NaN is not an element of the max-plus carrier: row 0, column 1"),
     (["solve", "{A}", "{bad}"], "b.txt", "tropmat 2 2 max-plus\n0 1\n2 3\n",
      "expected a vector-shaped tropmat, got 2x2"),
     (["eval", "{bad}", "--at", "1"], "p.txt", "troppoly max max-plus\nfoo\n",
@@ -1328,3 +1354,35 @@ def test_fit_carrier_error_names_the_dataset_and_sample(tmp_path, capsys):
     assert _one_line_usage_error(rc, capsys) == (
         f"tropalg: error: {data}: max-min carrier is [0, 1]; got a value outside it: "
         "sample 1 (x = -2.0), f = 0.3\n")
+
+
+def test_fit_grid_of_more_than_two_features_is_a_note(tmp_path, capsys):
+    x = np.random.default_rng(5).uniform(-1, 1, (40, 3))
+    data = _write_table(tmp_path / "d.csv", np.column_stack([x, np.abs(x).sum(axis=1)]))
+    assert main(["fit", str(data), "--no-header", "--slopes", "auto:3", "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run.grid.txt").read_text(encoding="utf-8") == (
+        "# grid emission supports 1 or 2 features; dataset has 3\n")
+
+
+@pytest.mark.parametrize("features, argv, message", [
+    (3, [], "tropalg: error: datasets with more than two features need an explicit --slopes"),
+    (2, ["--slopes", "line"], "tropalg: error: --slopes line needs exactly one feature column"),
+    (1, ["--slopes", "plane"], "tropalg: error: --slopes plane needs exactly two feature columns"),
+    (1, ["--slopes", "auto:two"], "tropalg: error: bad slope count in 'auto:two'"),
+    (1, ["--sweep-k", "3"], "error: argument --sweep-k: expected <min>:<max>, got '3'"),
+    (1, ["--sweep-k", "1:x"], "error: argument --sweep-k: expected <min>:<max>, got '1:x'"),
+    (1, ["--sweep-k", "0:3"], "error: argument --sweep-k: bad sweep range '0:3'"),
+    (1, ["--sweep-k", "4:3"], "error: argument --sweep-k: bad sweep range '4:3'"),
+], ids=["many-features", "line-width", "plane-width", "auto-count", "sweep-one-number",
+        "sweep-not-a-number", "sweep-from-zero", "sweep-reversed"])
+def test_fit_usage_errors_exit_2(tmp_path, capsys, features, argv, message):
+    x = np.linspace(-1, 1, 12)[:, None] * np.arange(1, features + 1)
+    data = _write_table(tmp_path / "d.csv", np.column_stack([x, np.abs(x).sum(axis=1)]))
+    try:
+        rc = main(["fit", str(data), "--no-header", *argv, "--out", str(tmp_path / "run")])
+    except SystemExit as exc:  # argparse refuses the argument
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].endswith(message)
+    assert not list(tmp_path.glob("run*"))

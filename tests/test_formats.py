@@ -261,3 +261,26 @@ def test_polynomial_parse_errors():
     # a carrier error names the first bad term by its line, blank lines counted
     with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: line 4, intercept nan$"):
         parse_polynomial("troppoly max max-min\n| 0.5\n\n| nan\n| 2\n")
+
+
+@pytest.mark.parametrize("space", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_polynomial_lines_end_at_line_ends_only(space, end):
+    # other characters str.splitlines splits at are white space inside a line
+    text = f"troppoly max max-min{end}1 | 0.5{space}{end}1 | 2{end}"
+    with pytest.raises(CarrierError, match=r": line 3, intercept 2\.0$"):
+        parse_polynomial(text)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("tropmat 1 2 max-plus\n0 nan\n", "row 0, column 1"),  # streamed
+    ("tropmat 1 2 max-plus 0 nan\n", "row 0, column 1"),  # per token
+    ("tropmat 2 3 max-min\n0 1 0.5\n1 -2 3\n", "row 1, column 1"),
+])
+def test_tropmat_carrier_error_names_row_and_column(text, where, tmp_path):
+    with pytest.raises(CarrierError, match=f": {where}$"):
+        parse_tropmat(text)
+    path = tmp_path / "M.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CarrierError, match=f"^{re.escape(str(path))}: .*: {where}$"):
+        read_tropmat(path)

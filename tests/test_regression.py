@@ -1,5 +1,6 @@
 """Max-affine regression: closed forms, slope estimation, fit invariants."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -105,6 +106,13 @@ def test_line_mmae_requires_maxplus():
         fit_line([0.1, 0.3], [0.5, 0.6], MAX_MIN, "mmae")
     with pytest.raises(UnsupportedClodumError):
         fit_line([0.0, 1.0], [0.5, 0.6], max_softmin(1.0), "mmae")
+
+
+@pytest.mark.parametrize("target", [INF, -INF])
+def test_line_infinite_target_is_refused(target):
+    # inside the max-plus carrier, but a fit needs finite targets
+    with pytest.raises(TropicalError, match="^target values must be finite$"):
+        fit_line([0.0, 1.0, 2.0], [0.0, target, 1.0], MAX_PLUS)
 
 
 def test_plane_exact_recovery():
@@ -501,6 +509,54 @@ def test_fit_reports_carry_the_skipped_neighbourhoods():
     assert sweep[0].model.slopes.tobytes() == report.model.slopes.tobytes()
 
 
+def _report_bytes(rep):
+    return (rep.model.slopes.tobytes(), rep.model.intercepts.tobytes(), rep.residuals.tobytes(),
+            rep.rms_error, rep.linf_error, rep.method, rep.slope_source, rep.warnings)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("method", ["gle", "mmae"])
+def test_auto_slopes_fit_is_the_first_fit_of_its_sweep(dims, method):
+    rng = np.random.default_rng(71 + dims)
+    x = rng.uniform(-2, 2, (80, dims))
+    f = np.abs(x).sum(axis=1) + rng.uniform(-0.05, 0.05, 80)
+    problem = FitProblem(x, f, AutoSlopes(5, 3))
+    single = fit_max_affine(problem, method)
+    assert _report_bytes(single) == _report_bytes(next(_sweep_fits(problem, method, [5])))
+
+
+def test_fit_carries_only_its_own_notes_while_another_thread_warns(monkeypatch):
+    # another thread warns while the fit's k-means runs; the fit's report
+    # holds its own note and nothing of that thread's warning
+    x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
+    inside, warned = threading.Event(), threading.Event()
+    kmeans = tropalg.regression._kmeans
+
+    def waiting_kmeans(*args):
+        inside.set()
+        assert warned.wait(30)
+        return kmeans(*args)
+
+    def other_thread():
+        assert inside.wait(30)
+        warnings.warn("a warning of another thread")
+        warned.set()
+
+    monkeypatch.setattr(tropalg.regression, "_kmeans", waiting_kmeans)
+    thread = threading.Thread(target=other_thread)
+    with pytest.warns(UserWarning) as caught:
+        thread.start()
+        try:
+            report = fit_max_affine(FitProblem(x, f, AutoSlopes(4, 5)))
+        finally:
+            inside.set()  # the other thread never waits for a fit that failed
+            thread.join(30)
+    assert not thread.is_alive()
+    message = "skipped 22 samples with rank-deficient neighbourhoods"
+    assert report.warnings == (message,)
+    assert sorted(str(w.message) for w in caught) == ["a warning of another thread", message]
+
+
 def test_estimate_slopes_nd_near_rank_tolerance_like_former():
     # nearly collinear neighbourhoods whose smallest singular value lies
     # around matrix_rank's tolerance, 8 * eps * s_max with s_max ~ 3
@@ -563,22 +619,6 @@ def test_fit_max_affine_k_equals_m_interpolation():
     prob = FitProblem(x[:, None], f, GivenSlopes(grads[:, None]))
     rep = fit_max_affine(prob, "gle")
     assert rep.linf_error <= 1e-12
-
-
-def test_fit_max_affine_runs_the_estimators_the_module_holds_now(monkeypatch):
-    # a wrapper set on the module after import (a tracer, a test double) runs
-    seen = []
-    for name in ("estimate_slopes_1d", "estimate_slopes_nd", "_kmeans"):
-        def wrapper(*args, _name=name, _inner=getattr(tropalg.regression, name)):
-            seen.append(_name)
-            return _inner(*args)
-        monkeypatch.setattr(tropalg.regression, name, wrapper)
-    x = np.linspace(-2, 2, 30)
-    fit_max_affine(FitProblem(x, np.abs(x), AutoSlopes(3)))
-    assert seen == ["estimate_slopes_1d"]
-    xy = np.random.default_rng(4).uniform(-1, 1, (30, 2))
-    fit_max_affine(FitProblem(xy, np.abs(xy).sum(axis=1), AutoSlopes(3, 1)))
-    assert seen == ["estimate_slopes_1d", "estimate_slopes_nd", "_kmeans"]
 
 
 def test_fit_from_below_every_instance():

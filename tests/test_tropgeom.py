@@ -256,6 +256,17 @@ def test_argmax_two_terms_on_curve():
     assert argmax_terms(p, [c / 2, c]) == {0, 1, 2}
 
 
+def test_min_orientation_takes_the_least_terms():
+    # min(x, -x, top): the top intercept never attains the minimum
+    p = TropicalPolynomial(np.array([[1.0], [-1.0], [0.0]]), np.array([0.0, 0.0, INF]), MAX_PLUS, "min")
+    assert p.inert_mask.tolist() == [False, False, True]
+    assert argmax_terms(p, [0.0]) == {0, 1}
+    assert argmax_terms(p, [2.0]) == {1}
+    assert argmax_terms(p, [-2.0]) == {0}
+    assert on_variety(p, [0.0])
+    assert not on_variety(p, [2.0])
+
+
 def test_on_variety_bend_and_tolerance():
     p = TropicalPolynomial.from_terms([([1.0], -2.0), ([0.0], 3.0)])
     assert on_variety(p, [5.0])

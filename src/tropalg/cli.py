@@ -10,8 +10,12 @@ tool; given the same inputs and seed the outputs are byte-identical.
 Every input file is read by ``tropalg.formats``: tropmat and troppoly files,
 CSV tables and slope files.  This module turns a table into a
 :class:`Dataset`, assembles the reports, and writes the output files all or
-nothing (:func:`_emit`).  Warnings of the library reach the reports
-(``warnings:`` and ``note:`` lines), and no Python warning is printed.
+nothing (:func:`_emit`).  The diagnostics of a fit or solve come back in its
+result and reach the reports (``warnings:`` and ``note:`` lines).  A command
+raises no Python warning and leaves the process's warning filters as they
+are; it runs under numpy's floating-point error state of its own thread set
+to ignore, so an overflow of extreme data reaches a report as ``inf`` or
+``nan``.  Nothing is printed on stderr when a command exits 0.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import contextlib
 import itertools
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -309,7 +312,13 @@ def run_fit(args) -> int:
 # solve
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not tol >= 0:  # NaN fails the comparison too
+        raise TropicalError(f"--tol must be a non-negative number, got {tol!r}")
+
+
 def run_solve(args) -> int:
+    _check_tol(args.tol)
     A = read_tropmat(args.matrix)
     b = read_tropvec(args.rhs)
     result = solve(A, b, method=args.method)
@@ -390,6 +399,7 @@ def _describe_polytope(label: str, poly: Polytope, pairs: list, tol: float | Non
 
 
 def run_polytope(args) -> int:
+    _check_tol(args.tol)
     polys = [read_polynomial(p) for p in args.polys]
     pairs = []
     newtons = []
@@ -471,9 +481,8 @@ def main(argv=None) -> int:
     # wrapper later set on this module (a tracer, a test double) is what runs
     run = {"fit": run_fit, "solve": run_solve, "eval": run_eval, "polytope": run_polytope}[args.command]
     try:
-        with warnings.catch_warnings():
-            # the library's warnings are in the reports already
-            warnings.simplefilter("ignore")
+        # numpy's error state is per thread, unlike the warning filters
+        with np.errstate(all="ignore"):
             return run(args)
     except TropicalError as exc:
         print(f"tropalg: error: {exc}", file=sys.stderr)

@@ -236,11 +236,13 @@ class Clodum:
         return True
 
     def _first_outside(self, values) -> tuple[int, ...]:
-        """The index, in row-major order, of the first value outside the
-        carrier, NaN included: the place a failed :meth:`validate` names."""
+        """The index, in row-major order, of the first NaN, or without one of
+        the first value outside the carrier: the value a failed
+        :meth:`validate` names."""
         arr = np.asarray(values, dtype=float)
-        inside = (arr >= self.bottom) & (arr <= self.top)
-        return tuple(map(int, np.unravel_index(np.argmin(inside), arr.shape)))
+        nan = np.isnan(arr)
+        outside = nan if nan.any() else (arr < self.bottom) | (arr > self.top)
+        return tuple(map(int, np.unravel_index(np.argmax(outside), arr.shape)))
 
     # -- operations: the public methods validate, the unchecked kernels trust --
 

@@ -30,7 +30,8 @@ parsers are the only source of error messages.
 Every error raised while reading a file names it: undecodable bytes, and the
 parse, shape and carrier errors of a tropmat or troppoly file, which start
 with ``<path>: `` and keep their type.  A carrier error also names where the
-value lies: the row and column of a tropmat entry, the line of a troppoly
+value lies, the first NaN or without one the first value outside the
+carrier: the row and column of a tropmat entry, the line of a troppoly
 intercept.  :func:`parse_tropmat` and :func:`parse_polynomial` read text and
 name no file.
 """
@@ -39,9 +40,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
-import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -104,13 +105,23 @@ def _naming(path):
 
 def _loadtxt(fh, delimiter=None, ndmin=1):
     """The rest of the stream as a float array read by numpy's C tokenizer,
-    or None when the tokenizer refuses it (undecodable bytes included)."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            return np.loadtxt(fh, delimiter=delimiter, dtype=float, comments=None, ndmin=ndmin)
-    except ValueError:  # UnicodeDecodeError included
-        return None
+    or None when no line is left or the tokenizer refuses the rest
+    (undecodable bytes included).
+
+    The tokenizer skips empty lines, and without a delimiter also lines of
+    white space, and warns when that leaves no data.  So the leading lines
+    of that kind are skipped here instead (without a delimiter, also a blank
+    line with a carriage return inside, which the tokenizer refuses and which
+    holds no value for the per-token parser either), and the first other
+    line is handed back to it before the rest: it always meets a line with
+    data and never warns.
+    """
+    with suppress(ValueError):  # UnicodeDecodeError included
+        for line in fh:
+            if line.strip() if delimiter is None else line.strip("\r\n"):
+                return np.loadtxt(itertools.chain([line], fh), delimiter=delimiter, dtype=float,
+                                  comments=None, ndmin=ndmin)
+    return None
 
 
 # -- tropmat
@@ -236,8 +247,9 @@ def parse_polynomial(text: str) -> TropicalPolynomial:
     try:
         return TropicalPolynomial(np.array(slopes), np.array(intercepts), clodum, orientation)
     except CarrierError as exc:
-        # the first term whose intercept is NaN or outside the carrier, by its
-        # line number in the text, blank lines included
+        # the first term whose intercept is NaN, or without one the first
+        # outside the carrier, by its line number in the text, blank lines
+        # included
         k = clodum._first_outside(intercepts)[0]
         raise CarrierError(f"{exc}: line {numbered[k + 1][0]}, intercept {intercepts[k]!r}") from None
 

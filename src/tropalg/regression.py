@@ -7,16 +7,17 @@ least-squares gradients of n-D data), and a selection reduces the pool to K
 slopes (natural-breaks clustering in 1-D, seeded k-means in n-D).  A sweep
 over K selects from the same pool for each K, and a single fit is the sweep
 over its one K.  The pool returns its notes (skipped neighbourhoods) with
-the candidates, after one Python warning where it finds them, and every
-report of the pool carries them first among its warnings.  Then the optimal
-intercepts come in closed form as the solution of the design system
-X (*) b = f, where column k of X is term k before its intercept: X is built
-by the same routine that evaluates the fitted polynomial.  Line, plane and
-max-affine fits all solve it through the same GLE -> mu -> MMAE routine as
-``tropalg.solver.solve``: the GLE fit touches the data from below and
-minimizes every l_p residual norm among from-below fits, while the MMAE fit
-(max-plus) shifts it up by half its l_inf error, reaching the unconstrained
-l_inf optimum.
+the candidates, and every report of the pool carries them first among its
+warnings; a fit raises no Python warning.  Only ``estimate_slopes_nd``,
+whose slope array cannot hold a note, passes it to ``warnings.warn``.  Then
+the optimal intercepts come in closed form as the solution of the design
+system X (*) b = f, where column k of X is term k before its intercept: X
+is built by the same routine that evaluates the fitted polynomial.  Line,
+plane and max-affine fits all solve it through the same GLE -> mu -> MMAE
+routine as ``tropalg.solver.solve``: the GLE fit touches the data from
+below and minimizes every l_p residual norm among from-below fits, while the
+MMAE fit (max-plus) shifts it up by half its l_inf error, reaching the
+unconstrained l_inf optimum.
 
 Supplied slopes fit over every clodum, under the polynomial's own rule: off
 max-plus each slope row is one-hot (a term acting on one coordinate) or zero
@@ -79,9 +80,16 @@ class GivenSlopes:
         object.__setattr__(self, "values", vals)
 
 
+def _check_seed(seed) -> None:
+    """Refuse a k-means seed that is not a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise TropicalError(f"the seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class AutoSlopes:
-    """Estimate ``count`` slope vectors from the data derivatives."""
+    """Estimate ``count`` slope vectors from the data derivatives; ``seed``,
+    a non-negative integer, seeds the k-means of n-D data."""
 
     count: int
     seed: int = 0
@@ -89,6 +97,7 @@ class AutoSlopes:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise TropicalError("slope count must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +222,9 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
 
 
 def _outside_text(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum) -> str:
-    """The first sample whose design row or target lies outside the carrier
-    (NaN included), located on the error path of the carrier check."""
+    """The first sample whose design row or target holds a NaN, or without
+    one the first whose row or target lies outside the carrier, located on
+    the error path of the carrier check."""
     i = clodum._first_outside(np.column_stack([_term_design(x, slopes, clodum.unit), f]))[0]
     return f"{_sample_text(x, i)}, f = {float(f[i])!r}"
 
@@ -288,10 +298,10 @@ def _sweep_fits(problem: FitProblem, method: str, counts):
 
     The slopes come from ``_slope_sets``, which takes the candidate pool once
     for all k, so each report, and the first error, are those of the separate
-    fits; the pool's notes are warned of once, where they are found, and lead
-    every report's warnings.  The problem is checked at the first k only: its
-    one check that depends on k, k <= m, never fails first at a later k,
-    because every k >= m already fails the estimator's own sample count check.
+    fits; the pool's notes lead every report's warnings.  The problem is
+    checked at the first k only: its one check that depends on k, k <= m,
+    never fails first at a later k, because every k >= m already fails the
+    estimator's own sample count check.
     """
     _check_max_affine(problem.clodum, method)
     x, f = problem.inputs, problem.targets
@@ -676,14 +686,21 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     """Slope candidates for n-D data: k-means centroids of local gradients.
 
     The gradients come from ``_gradient_pool``; clustering uses k-means++
-    initialization from ``seed`` and Lloyd steps that skip the distance rows
-    their bounds settle (see ``_kmeans``).
+    initialization from ``seed``, a non-negative integer, and Lloyd steps
+    that skip the distance rows their bounds settle (see ``_kmeans``).  The
+    notes of the pool (skipped neighbourhoods) have no place in the returned
+    array, so each is passed to ``warnings.warn``, pointing at the caller's
+    line.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.ndim != 2 or x.shape[0] != len(f):
         raise DimensionMismatchError("x must be (m, n) with one target per sample")
-    return next(_slope_sets(x, f, [count], seed))[0]
+    _check_seed(seed)
+    slopes, notes = next(_slope_sets(x, f, [count], seed))
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
+    return slopes
 
 
 def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -694,8 +711,8 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     max(n+2, 8) nearest neighbours.  One batched SVD per neighbourhood gives
     both the rank test and the pseudo-inverse, bit for bit what
     ``np.linalg.matrix_rank`` and ``np.linalg.pinv`` give (see
-    ``_gradients``).  Rank-deficient neighbourhoods are skipped, with a
-    warning, and the warning is returned as a note.
+    ``_gradients``).  Rank-deficient neighbourhoods are skipped, and a note
+    says how many.
 
     When the squared neighbour distances of x overflow, the neighbours and
     gradients are taken on x scaled by a power of two, exactly, so finite
@@ -726,7 +743,6 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     notes = ()
     if not good.all():
         notes = (f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods",)
-        warnings.warn(notes[0])
     # the gradient in x is the gradient in x * 2^shift, times 2^shift
     gradients = np.ldexp(beta[:, :n], shift)
     rows = np.flatnonzero(good)

@@ -10,6 +10,11 @@ is also a best approximation in the Hilbert projective semimetric.
 ``solve`` and the line, plane and max-affine fits of ``tropalg.regression``
 run through the same GLE -> mu -> MMAE routine: with the slopes fixed, a
 fit's intercepts are the solution of its design system.
+
+A diagnostic travels in one channel: ``solve`` names the columns of A that
+are entirely bottom in ``SolveResult.notes`` and raises no Python warning;
+only ``greatest_subsolution``, whose vector cannot hold a note, passes it to
+``warnings.warn``.
 """
 
 from __future__ import annotations
@@ -67,15 +72,13 @@ def _check_dims(A: TropicalMatrix, b: TropicalVector) -> None:
         raise DimensionMismatchError(f"matrix has {A.shape[0]} rows but b has {len(b)} entries")
 
 
-def _warn_dead_columns(A: TropicalMatrix) -> tuple[str, ...]:
-    """Warn of the columns of A that are entirely bottom, and return the
-    warning as a note, or no note when there are none."""
+def _dead_columns(A: TropicalMatrix) -> tuple[str, ...]:
+    """A note naming the columns of A that are entirely bottom, or no note
+    when there are none."""
     dead = np.all(A.values == A.clodum.bottom, axis=0)
     if not dead.any():
         return ()
-    note = f"columns {np.flatnonzero(dead).tolist()} of A are entirely bottom; solution components set to top"
-    warnings.warn(note)
-    return (note,)
+    return (f"columns {np.flatnonzero(dead).tolist()} of A are entirely bottom; solution components set to top",)
 
 
 def greatest_subsolution(A: TropicalMatrix, b: TropicalVector) -> TropicalVector:
@@ -83,11 +86,13 @@ def greatest_subsolution(A: TropicalMatrix, b: TropicalVector) -> TropicalVector
 
     Computed column-wise as x_j = inf_i adjoint_erosion(a_ij, b_i) in O(mn)
     scalar operations.  A column of A that is entirely bottom constrains
-    nothing, so the corresponding component is top; a warning is emitted
-    because such components are usually a modelling mistake.
+    nothing, so the corresponding component is top.  Such components are
+    usually a modelling mistake, and a vector has no place for a note, so
+    they are passed to ``warnings.warn``, pointing at the caller's line.
     """
     _check_dims(A, b)
-    _warn_dead_columns(A)
+    for note in _dead_columns(A):
+        warnings.warn(note, stacklevel=2)
     return matvec_erode(A, b)
 
 
@@ -137,7 +142,8 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
     are accepted and solved through the log isomorphism: mu then measures the
     l_inf error of log-domain residuals (i.e. a relative error), which is
     recorded in ``notes``.  Other cloda reject the MMAE method.  Columns of A
-    that are entirely bottom are warned of and recorded in ``notes`` too.
+    that are entirely bottom are named in ``notes`` too; no Python warning is
+    raised.
     """
     if method not in ("gle", "mmae"):
         raise ValueError(f"unknown method {method!r}")
@@ -160,7 +166,7 @@ def solve(A: TropicalMatrix, b: TropicalVector, method: str = "gle") -> SolveRes
             f"the MMAE solution is only l_inf-optimal for max-plus, not {clodum.spec_string()}"
         )
 
-    return _solve_checked(A, b, method, _warn_dead_columns(A))
+    return _solve_checked(A, b, method, _dead_columns(A))
 
 
 def mmae_solution(A: TropicalMatrix, b: TropicalVector) -> SolveResult:

@@ -261,8 +261,11 @@ def convex_hull_2d(points, tol: float | None = None):
     Monotone chain starting from the lexicographically smallest vertex;
     collinear-redundant points are dropped.  Integer inputs are processed
     with exact integer cross products, floats with a collinearity tolerance
-    of 1e-12 scaled by the squared coordinate magnitude.
+    of ``tol`` (default 1e-12), a non-negative number, scaled by the squared
+    coordinate magnitude.
     """
+    if tol is not None and not tol >= 0:  # NaN fails the comparison too
+        raise TropicalError(f"tol must be a non-negative number, got {tol!r}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatchError("convex_hull_2d expects an (N, 2) array")
@@ -272,6 +275,8 @@ def convex_hull_2d(points, tol: float | None = None):
     if len(pts) == 1:
         return pts
     scale = float(np.abs(pts).max())
+    if scale >= 2.0**510:  # a cross product of float points reaches 8 * scale**2
+        raise TropicalError(f"hull coordinates must be below 2**510 in magnitude, got {scale!r}")
     exact = bool(np.all(pts == np.rint(pts)) and scale < 2**40)
     if exact:
         rows = [(int(a), int(b)) for a, b in pts]

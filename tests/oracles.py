@@ -393,7 +393,8 @@ def parse_tropmat_per_token(text):
     """The library's former tropmat parser: the whole text split into tokens,
     each entry converted with ``float()``.  Negative dimensions are rejected
     with the dimensions message, and a carrier error names the row and column
-    of the entry, as the library now does."""
+    of the first NaN entry, or without one of the first entry outside the
+    carrier, as the library now does."""
     from tropalg.clodum import CarrierError, Clodum, TropicalError
     from tropalg.wlattice import TropicalMatrix
 
@@ -417,8 +418,11 @@ def parse_tropmat_per_token(text):
     try:
         return TropicalMatrix(values, clodum)
     except CarrierError as exc:
-        # the first entry, in reading order, outside [bottom, top] (NaN included)
-        i, j = next(ij for ij, v in np.ndenumerate(values) if not clodum.bottom <= v <= clodum.top)
+        # the first NaN entry in reading order, or without one the first
+        # entry outside [bottom, top]
+        cells = list(np.ndenumerate(values))
+        nan = [ij for ij, v in cells if np.isnan(v)]
+        i, j = nan[0] if nan else next(ij for ij, v in cells if not clodum.bottom <= v <= clodum.top)
         raise CarrierError(f"{exc}: row {i}, column {j}") from None
 
 

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -25,6 +26,7 @@ from tropalg import (
     MAX_PLUS,
     TropicalMatrix,
     fit_plane,
+    parse_tropmat,
     read_polynomial,
     read_tropmat,
     read_tropvec,
@@ -276,6 +278,25 @@ def test_ingest_streamed_path_matches_per_cell_reader(text, has_header, target):
         path.write_text(text, encoding="utf-8", newline="")
         kw = {"has_header": has_header, "target": target}
         assert _ingest_outcome(ingest_csv, path, **kw) == _reference_outcome(path, **kw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_numeric_csv(), blank=st.lists(st.sampled_from(["", "\n", "\r\n", "\r", " ", "\t", "\f"]),
+                                           max_size=8).map("".join),
+       has_header=st.booleans())
+def test_ingest_after_blank_lines_matches_per_cell_reader(text, blank, has_header):
+    # a run of blank lines and white space before the data rows, which
+    # numpy's tokenizer skips when they hold no data, gives the per-cell
+    # reader's values or message, and no warning
+    header = io.StringIO(text, newline="").readline() if has_header else ""
+    text = header + blank + text[len(header):]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            got = _ingest_outcome(ingest_csv, path, has_header=has_header)
+        assert got == _reference_outcome(path, has_header=has_header)
 
 
 @pytest.mark.parametrize("text, has_header, streamed", [
@@ -802,6 +823,21 @@ def test_fit_widely_spread_nd_samples(tmp_path, capsys, scale, f_scale):
     assert grid[-1, :2].tolist() == [x[:, 0].max() * scale, x[:, 1].max() * scale]
 
 
+@pytest.mark.parametrize("features, argv", [
+    (1, ["--slopes", "auto:2"]),
+    (2, ["--slopes", "auto:2"]),
+    (2, ["--sweep-k", "1:2"]),
+], ids=["1-D", "2-D", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_fit_negative_seed_is_usage_error(tmp_path, capsys, features, argv, seed):
+    x = np.random.default_rng(11).uniform(-1, 1, (12, features))
+    data = _write_table(tmp_path / "d.csv", np.column_stack([x, np.abs(x).sum(axis=1)]))
+    rc = main(["fit", str(data), "--no-header", *argv, f"--seed={seed}", "--out", str(tmp_path / "run")])
+    assert _one_line_usage_error(rc, capsys) == (
+        f"tropalg: error: the seed must be a non-negative integer, got {seed}\n")
+    assert not list(tmp_path.glob("run*"))
+
+
 # ---------------------------------------------------------------------------
 # solve command
 
@@ -1044,6 +1080,18 @@ def test_polytope_tol_drops_nearly_collinear_vertices(tmp_path, capsys):
                          "newton[0].vertex[1]: 2.5 0.0", "newton[0].vertex[2]: 1.25 1.0"]
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "-1e-300"])
+@pytest.mark.parametrize("command", ["solve", "polytope"])
+def test_negative_or_nan_tolerance_is_usage_error(tmp_path, capsys, command, tol):
+    _write_system(tmp_path)
+    p = tmp_path / "p.txt"
+    p.write_text("troppoly max max-plus\n0 0 | 0\n1 0 | 0\n2 0 | 0\n1 0.1 | 0\n1 1 | 0\n", encoding="utf-8")
+    args = {"solve": [str(tmp_path / "A.txt"), str(tmp_path / "b.txt")], "polytope": [str(p)]}[command]
+    rc = main([command, *args, f"--tol={tol}"])
+    assert _one_line_usage_error(rc, capsys) == (
+        f"tropalg: error: --tol must be a non-negative number, got {float(tol)!r}\n")
+
+
 def test_single_term_polytope(tmp_path, capsys):
     p = tmp_path / "p1.txt"
     p.write_text("troppoly max max-plus\n2 5 | 1\n", encoding="utf-8")
@@ -1225,8 +1273,10 @@ def test_fit_random_slope_files_exit_0_or_2(dims, rows):
      "term line missing '|' separator: 'foo'"),
     (["polytope", "{p}", "{bad}"], "q.txt", "troppoly max max-min\n1 | 2\n",
      "max-min carrier is [0, 1]; got a value outside it: line 2, intercept 2.0"),
+    (["polytope", "{p}", "{bad}"], "q.txt", "troppoly max max-min\n| -1\n| nan\n",
+     "NaN is not an element of the max-min carrier: line 3, intercept nan"),
 ], ids=["tropmat-matrix", "tropmat-rhs", "tropmat-carrier", "tropvec-shape", "troppoly-eval",
-        "troppoly-polytope"])
+        "troppoly-polytope", "troppoly-nan"])
 def test_read_errors_name_the_file(argv, bad, text, message, tmp_path, capsys):
     files = {"A": tmp_path / "A.txt", "b": tmp_path / "b.txt", "p": tmp_path / "p.txt"}
     write_tropmat(files["A"], TropicalMatrix([[0.0, 1.0]], MAX_PLUS))
@@ -1333,6 +1383,119 @@ def test_solve_dead_columns_reach_the_report(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (rc, err) == (0, "")
     assert "note: columns [1] of A are entirely bottom; solution components set to top" in out.splitlines()
+
+
+def test_a_command_leaves_the_warnings_of_other_threads_alone(monkeypatch, tmp_path, capsys):
+    # a solve is held inside run_solve in a second thread while the main
+    # thread sets its own showwarning hook and warns: the warning reaches
+    # that hook, and the hook is still in place once the command returns
+    write_tropmat(tmp_path / "A.txt", TropicalMatrix([[1.0, -INF], [3.0, -INF]], MAX_PLUS))
+    write_tropmat(tmp_path / "b.txt", TropicalMatrix([[1.0], [2.0]], MAX_PLUS))
+    inside, warned = threading.Event(), threading.Event()
+    run_solve = tropalg.cli.run_solve
+
+    def held(args):
+        inside.set()
+        assert warned.wait(30)
+        return run_solve(args)
+
+    monkeypatch.setattr(tropalg.cli, "run_solve", held)
+    codes, shown = [], []
+
+    def hook(message, *rest):
+        shown.append(str(message))
+
+    thread = threading.Thread(target=lambda: codes.append(main(["solve", str(tmp_path / "A.txt"),
+                                                                str(tmp_path / "b.txt")])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        thread.start()
+        try:
+            assert inside.wait(30)
+            warnings.showwarning = hook
+            warnings.warn("a warning of the main thread")
+        finally:
+            warned.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert warnings.showwarning is hook
+    assert codes == [0]
+    assert shown == ["a warning of the main thread"]
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "note: columns [1] of A are entirely bottom; solution components set to top" in out.splitlines()
+
+
+def _no_catch_warnings(*args, **kwargs):
+    raise AssertionError("warnings.catch_warnings was entered")
+
+
+def test_readers_and_commands_never_swap_the_warning_filters(monkeypatch, tmp_path, capsys):
+    # every reader, on regular and blank-led bodies, and every command case
+    # runs with warnings.catch_warnings refused
+    import scipy.spatial  # noqa: F401  (its import is not under test)
+
+    files = {
+        "A.txt": "tropmat 3 2 max-plus\n1 -inf\n\n \t\n3 -inf\n0 -inf\n",
+        "T.txt": "tropmat 2 2 max-times\n0 1\n0 2\n",
+        "b.txt": "tropmat 3 1 max-plus\n1\n2\n0\n",
+        "c.txt": "tropmat 2 1 max-times\n1\n4\n",
+        "empty.txt": "tropmat 2 2 max-plus\n\n  \n",
+        "none.txt": "tropmat 0 3 max-plus\n",
+        "p.txt": _LINE_POLY,
+        "q.txt": _PLANE_POLY,
+        "line.csv": "x,y\n\n\r\n" + "".join(f"{v!r},{abs(v)!r}\n" for v in np.linspace(-2, 2, 12).tolist()),
+        "head.csv": "x,y\n\n",
+        "slopes.txt": "1\n0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    plane = _duplicated_points_csv(tmp_path)
+    path = {name: str(tmp_path / name) for name in files}
+    # undone before the test ends: pytest enters catch_warnings around each phase
+    with monkeypatch.context() as patch:
+        patch.setattr(warnings, "catch_warnings", _no_catch_warnings)
+
+        assert read_tropmat(path["A.txt"]).shape == (3, 2)
+        assert parse_tropmat(files["A.txt"]).shape == (3, 2)
+        assert read_tropvec(path["b.txt"]).values.tolist() == [1.0, 2.0, 0.0]
+        assert read_tropmat(path["none.txt"]).shape == (0, 3)
+        for read, arg in ((read_tropmat, path["empty.txt"]), (parse_tropmat, files["empty.txt"])):
+            with pytest.raises(TropicalError, match="promises 4 entries, found 0"):
+                read(arg)
+        assert read_polynomial(path["q.txt"]).rank == 3
+        assert ingest_csv(path["line.csv"]).num_samples == 12
+        with pytest.raises(TropicalError, match="no data rows"):
+            ingest_csv(path["head.csv"])
+        assert tropalg.formats._read_slopes(path["slopes.txt"]).tolist() == [[1.0], [0.0]]
+
+        out = str(tmp_path / "run")
+        for argv in (
+            ["fit", path["line.csv"], "--out", out],
+            ["fit", path["line.csv"], "--slopes", "auto:3", "--method", "mmae", "--out", out],
+            ["fit", path["line.csv"], "--slopes", path["slopes.txt"], "--out", out],
+            ["fit", path["line.csv"], "--sweep-k", "1:3"],
+            ["fit", str(plane), "--slopes", "auto:3", "--out", out],
+            ["fit", str(plane), "--sweep-k", "1:3", "--seed", "2"],
+            ["fit", str(plane), "--out", out],
+            ["solve", path["A.txt"], path["b.txt"]],
+            ["solve", path["A.txt"], path["b.txt"], "--method", "mmae", "--tol", "0.5"],
+            ["solve", path["T.txt"], path["c.txt"], "--method", "mmae"],
+            ["eval", path["p.txt"], "--at", "1.5"],
+            ["eval", path["p.txt"], "--data", path["line.csv"]],
+            ["polytope", path["p.txt"], path["p.txt"]],
+            ["polytope", path["q.txt"], path["q.txt"], "--tol", "1e-6"],
+        ):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().err == "", argv
+        for argv in (
+            ["fit", path["head.csv"]],
+            ["fit", path["line.csv"], "--slopes", "auto:2", "--seed", "-1"],
+            ["solve", path["empty.txt"], path["b.txt"]],
+            ["solve", path["A.txt"], path["b.txt"], "--tol", "nan"],
+            ["polytope", path["q.txt"], "--tol", "-1"],
+        ):
+            _one_line_usage_error(main(argv), capsys)
 
 
 # ---------------------------------------------------------------------------

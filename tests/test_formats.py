@@ -132,6 +132,28 @@ def test_tropmat_readers_match_per_token_parser(text):
         assert _tropmat_outcome(read_tropmat, path) == _named(expected, path)
 
 
+# runs of blank lines and white space, which numpy's tokenizer skips when
+# they hold no data (and would warn of, when they are all that is left)
+_BLANK_RUN = st.lists(st.sampled_from(["", "\n", "\r\n", "\r", " ", "\t", "\f"]), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_tropmat_text(), blank=_BLANK_RUN, keep=st.integers(0, 3))
+def test_tropmat_readers_after_blank_lines_match_per_token_parser(text, blank, keep):
+    # a run before the body, valid, broken or dropped, gives the per-token
+    # parser's bytes or error, and no warning
+    head, end, body = text.partition("\n")
+    text = head + end + blank + (body if keep else "")
+    expected = _tropmat_outcome(parse_tropmat_per_token, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert _tropmat_outcome(parse_tropmat, text) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "M.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert _tropmat_outcome(read_tropmat, path) == _named(expected, path)
+
+
 @pytest.mark.parametrize("text, streamed", [
     ("tropmat 2 2 max-plus\n1 2\n3 4\n", True),
     ("tropmat 2 2 max-plus\r\n1 2 3 4", True),  # one line
@@ -276,6 +298,8 @@ def test_polynomial_lines_end_at_line_ends_only(space, end):
     ("tropmat 1 2 max-plus\n0 nan\n", "row 0, column 1"),  # streamed
     ("tropmat 1 2 max-plus 0 nan\n", "row 0, column 1"),  # per token
     ("tropmat 2 3 max-min\n0 1 0.5\n1 -2 3\n", "row 1, column 1"),
+    ("tropmat 1 2 max-min\n-1 nan\n", "row 0, column 1"),  # the NaN the message names
+    ("tropmat 1 2 max-min -1 nan\n", "row 0, column 1"),
 ])
 def test_tropmat_carrier_error_names_row_and_column(text, where, tmp_path):
     with pytest.raises(CarrierError, match=f": {where}$"):

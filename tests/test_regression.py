@@ -1,5 +1,6 @@
 """Max-affine regression: closed forms, slope estimation, fit invariants."""
 
+import re
 import threading
 import tracemalloc
 import warnings
@@ -203,16 +204,17 @@ def test_fits_equal_design_system_solves(clodum, method):
 
 def test_dead_design_column_does_not_leak_solver_warning():
     # an all-zero input is an all-bottom design column over max-times: solve
-    # warns about it, the fit must not
+    # notes it in its result, the fit reports its inert term instead, and
+    # neither raises a Python warning
     x = np.zeros(4)
     f = np.array([0.5, 2.0, 0.0, 1.0])
     design = TropicalMatrix(np.column_stack([x, np.ones(4)]), MAX_TIMES)
-    with pytest.warns(UserWarning):
-        solve(design, TropicalVector(f, MAX_TIMES))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        res = solve(design, TropicalVector(f, MAX_TIMES))
         rep = fit_line(x, f, MAX_TIMES)
         clean = fit_line(x, f + 1.0, MAX_TIMES)
+    assert res.notes == ("columns [0] of A are entirely bottom; solution components set to top",)
     assert rep.model.intercepts.tolist() == [INF, 0.0]
     assert rep.warnings == ("terms [1] received a bottom intercept and are inert",)
     assert clean.warnings == ()
@@ -248,6 +250,13 @@ def test_fit_carrier_error_names_the_first_sample_outside():
     f = np.array([0.5, 1.5, 0.5, 0.5])  # sample 1 is the first outside, by its target
     with pytest.raises(CarrierError, match=r"got a value outside it: sample 1 \(x = 0\.25\), f = 1\.5$"):
         fit_line(x, f, MAX_MIN)
+
+
+def test_fit_carrier_error_names_the_first_nan_sample():
+    # the message is about a NaN, so it names the NaN, not the earlier value
+    # outside the carrier
+    with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: sample 1 \(x = nan\), f = 0\.5$"):
+        fit_line([-1.0, np.nan], [0.5, 0.5], MAX_MIN)
 
 
 @pytest.mark.parametrize("clodum, x, err, match", [
@@ -495,18 +504,37 @@ def test_estimate_slopes_nd_skips_degenerate_neighbourhoods_like_former():
 
 
 def test_fit_reports_carry_the_skipped_neighbourhoods():
-    # the estimate's warning is raised for the caller and leads the report's
-    # warnings, in a single fit and in every fit of a sweep
+    # the estimate's note leads the report's warnings, in a single fit and in
+    # every fit of a sweep, and no Python warning is raised
     x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
     problem = FitProblem(x, f, AutoSlopes(4, 5))
     message = "skipped 22 samples with rank-deficient neighbourhoods"
-    with pytest.warns(UserWarning, match=f"^{message}$"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = fit_max_affine(problem)
-    assert report.warnings[0] == message
-    with pytest.warns(UserWarning, match=f"^{message}$"):
         sweep = list(_sweep_fits(problem, "gle", range(4, 7)))
+    assert report.warnings[0] == message
     assert [rep.warnings[0] for rep in sweep] == [message] * 3
     assert sweep[0].model.slopes.tobytes() == report.model.slopes.tobytes()
+
+
+def test_estimate_slopes_nd_warns_at_the_callers_line():
+    x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
+    with pytest.warns(UserWarning, match=r"^skipped 22 samples with rank-deficient neighbourhoods$") as caught:
+        estimate_slopes_nd(x, f, 4, seed=5)
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("seed", [-1, -2**70, 1.5, 2.0, "3", None])
+def test_slope_seed_must_be_a_non_negative_integer(seed):
+    message = f"^the seed must be a non-negative integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(TropicalError, match=message) as info:
+        AutoSlopes(2, seed)
+    assert type(info.value) is TropicalError
+    x = np.random.default_rng(3).uniform(-1, 1, (20, 2))
+    with pytest.raises(TropicalError, match=message) as info:
+        estimate_slopes_nd(x, np.abs(x).sum(axis=1), 2, seed=seed)
+    assert type(info.value) is TropicalError
 
 
 def _report_bytes(rep):
@@ -527,10 +555,12 @@ def test_auto_slopes_fit_is_the_first_fit_of_its_sweep(dims, method):
 
 def test_fit_carries_only_its_own_notes_while_another_thread_warns(monkeypatch):
     # another thread warns while the fit's k-means runs; the fit's report
-    # holds its own note and nothing of that thread's warning
+    # holds its own note and nothing of that thread's warning, the warning
+    # reaches that thread, and the fit raises none
     x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
     inside, warned = threading.Event(), threading.Event()
     kmeans = tropalg.regression._kmeans
+    raised = []
 
     def waiting_kmeans(*args):
         inside.set()
@@ -539,12 +569,16 @@ def test_fit_carries_only_its_own_notes_while_another_thread_warns(monkeypatch):
 
     def other_thread():
         assert inside.wait(30)
-        warnings.warn("a warning of another thread")
+        try:
+            warnings.warn("a warning of another thread")
+        except UserWarning as exc:
+            raised.append(str(exc))
         warned.set()
 
     monkeypatch.setattr(tropalg.regression, "_kmeans", waiting_kmeans)
     thread = threading.Thread(target=other_thread)
-    with pytest.warns(UserWarning) as caught:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         thread.start()
         try:
             report = fit_max_affine(FitProblem(x, f, AutoSlopes(4, 5)))
@@ -552,9 +586,8 @@ def test_fit_carries_only_its_own_notes_while_another_thread_warns(monkeypatch):
             inside.set()  # the other thread never waits for a fit that failed
             thread.join(30)
     assert not thread.is_alive()
-    message = "skipped 22 samples with rank-deficient neighbourhoods"
-    assert report.warnings == (message,)
-    assert sorted(str(w.message) for w in caught) == ["a warning of another thread", message]
+    assert report.warnings == ("skipped 22 samples with rank-deficient neighbourhoods",)
+    assert raised == ["a warning of another thread"]
 
 
 def test_estimate_slopes_nd_near_rank_tolerance_like_former():

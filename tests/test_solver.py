@@ -89,11 +89,22 @@ def test_gle_all_bottom_column_warns_and_tops():
     assert x_hat.values[1] == -1.0
 
 
+def test_greatest_subsolution_warns_at_the_callers_line():
+    # a vector holds no note, so the dead columns reach the caller as a
+    # warning that names the caller's file, not the library's
+    A = _mat([[-INF, 0], [-INF, 1]])
+    with pytest.warns(UserWarning, match=r"^columns \[0\] of A are entirely bottom") as caught:
+        greatest_subsolution(A, _vec([0, 0]))
+    assert [w.filename for w in caught] == [__file__]
+
+
 @pytest.mark.parametrize("method", ["gle", "mmae"])
 def test_solve_records_dead_columns_in_notes(method):
+    # the note travels in the result only: no Python warning
     A = _mat([[-INF, 0], [-INF, 1]])
     b = _vec([0, 0])
-    with pytest.warns(UserWarning, match=r"^columns \[0\] of A are entirely bottom"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = solve(A, b, method)
     assert res.notes == ("columns [0] of A are entirely bottom; solution components set to top",)
 

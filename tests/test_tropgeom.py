@@ -396,6 +396,24 @@ def test_hull_float_collinearity_tolerance():
     assert len(hull) == 3
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), -0.0 - 1e-300])
+def test_hull_tolerance_must_be_non_negative(tol):
+    pts = [[0, 0], [1, 0], [2, 0], [1, 0.1], [1, 1]]
+    with pytest.raises(TropicalError, match=r"^tol must be a non-negative number, got ") as info:
+        convex_hull_2d(pts, tol=tol)
+    assert type(info.value) is TropicalError
+    assert convex_hull_2d(pts, tol=0.0).tolist() == [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]
+
+
+def test_hull_refuses_coordinates_whose_cross_products_could_overflow():
+    # the squared scale of 1e300 overflowed into an OverflowError traceback
+    big = 2.0**509
+    assert convex_hull_2d([[0, 0], [big, 0], [0.5, 0.5], [0, big]]).tolist() == [[0.0, 0.0], [big, 0.0], [0.0, big]]
+    for scale in (2.0**510, -1e300):
+        with pytest.raises(TropicalError, match=r"^hull coordinates must be below 2\*\*510 in magnitude, got "):
+            convex_hull_2d([[0, 0], [scale, 0], [0.5, 0.5]])
+
+
 def test_polytope_1d_hull():
     P = Polytope(np.array([[3.0], [1.0], [2.0]]))
     assert P.hull_vertices.tolist() == [[1.0], [3.0]]

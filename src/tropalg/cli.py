@@ -48,6 +48,7 @@ from .regression import (
     FitReport,
     GivenSlopes,
     _coordinate_slopes,
+    _rms,
     _sweep_fits,
     fit_max_affine,
     least_squares_line,
@@ -55,6 +56,7 @@ from .regression import (
 from .solver import solve
 from .tropgeom import (
     Polytope,
+    _check_tol,
     convex_hull_2d,
     newton_polytope,
     polytope_join,
@@ -292,7 +294,7 @@ def run_fit(args) -> int:
     if data.features.shape[1] == 1:
         a_ls, b_ls = least_squares_line(data.features[:, 0], data.target)
         res = data.target - (a_ls * data.features[:, 0] + b_ls)
-        pairs.append(("lse_baseline", f"a={a_ls!r} b={b_ls!r} rms={float(np.sqrt(np.mean(res**2)))!r}"))
+        pairs.append(("lse_baseline", f"a={a_ls!r} b={b_ls!r} rms={_rms(res)!r}"))
     pairs.append(("warnings", "; ".join(report.warnings) if report.warnings else "none"))
 
     # every text is built before any output is written
@@ -312,13 +314,8 @@ def run_fit(args) -> int:
 # solve
 
 
-def _check_tol(tol: float | None) -> None:
-    if tol is not None and not tol >= 0:  # NaN fails the comparison too
-        raise TropicalError(f"--tol must be a non-negative number, got {tol!r}")
-
-
 def run_solve(args) -> int:
-    _check_tol(args.tol)
+    _check_tol(args.tol, "--tol")
     A = read_tropmat(args.matrix)
     b = read_tropvec(args.rhs)
     result = solve(A, b, method=args.method)
@@ -399,7 +396,7 @@ def _describe_polytope(label: str, poly: Polytope, pairs: list, tol: float | Non
 
 
 def run_polytope(args) -> int:
-    _check_tol(args.tol)
+    _check_tol(args.tol, "--tol")
     polys = [read_polynomial(p) for p in args.polys]
     pairs = []
     newtons = []

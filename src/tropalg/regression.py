@@ -197,8 +197,8 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
     try:
         design = _adopt(TropicalMatrix, clodum.validate(_term_design(x, slopes, clodum.unit)), clodum)
         target = TropicalVector(f, clodum)
-    except CarrierError as exc:
-        raise CarrierError(f"{exc}: {_outside_text(x, f, slopes, clodum)}") from None
+    except CarrierError:
+        raise CarrierError(_outside_text(x, f, slopes, clodum)) from None
     if not np.isfinite(f).all():
         raise TropicalError("target values must be finite")
     if not np.isfinite(x).all():
@@ -222,11 +222,15 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
 
 
 def _outside_text(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum) -> str:
-    """The first sample whose design row or target holds a NaN, or without
-    one the first whose row or target lies outside the carrier, located on
-    the error path of the carrier check."""
-    i = clodum._first_outside(np.column_stack([_term_design(x, slopes, clodum.unit), f]))[0]
-    return f"{_sample_text(x, i)}, f = {float(f[i])!r}"
+    """The carrier error of the samples, from one check of their design rows
+    beside the targets: its message, then the first sample whose row or
+    target holds a NaN, or without one the first outside the carrier."""
+    rows = np.column_stack([_term_design(x, slopes, clodum.unit), f])
+    try:
+        clodum.validate(rows)
+    except CarrierError as exc:
+        i = clodum._first_outside(rows)[0]
+        return f"{exc}: {_sample_text(x, i)}, f = {float(f[i])!r}"
 
 
 def _coordinate_slopes(n: int) -> np.ndarray:
@@ -545,11 +549,8 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     L at most (1 - r) times a lower bound B on its exact distance to every
     other center.  Its distance row is recomputed only when U < L fails.
     When the centers move, each by at most an upper bound d_c on its exact
-    move, U grows by d_own and L shrinks by the largest d_c of the other
-    centers, both rounded outward (``_ROUND_UP``/``_ROUND_DOWN``).  A point
-    whose bounds stop separating first gets U back from its computed
-    distance to its own center alone, and L may rise to the distance from
-    its own center to the nearest other one, minus U.  The skip is exact:
+    move, U grows by d_own and L shrinks by the largest d_c of any center,
+    both rounded outward (``_ROUND_UP``/``_ROUND_DOWN``).  The skip is exact:
 
     * A computed squared distance S of exact distance D (finite values) has
       |S - D^2| <= g*D^2 + e, with g = (1 + u)^(n+2) - 1, u = 2^-53 and
@@ -618,26 +619,12 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         if reseed:
             stale, sub = slice(None), cols
             continue
-        # the largest move among the centers other than each point's own
-        top = int(np.argmax(drift))
-        others = np.full(k, drift[top])
-        others[top] = np.max(np.delete(drift, top), initial=0.0)
         upper += drift[assign]
         upper *= _ROUND_UP
-        lower -= others[assign]
+        lower -= drift.max()
         lower *= _ROUND_DOWN
         stale = np.flatnonzero(~(upper < lower))
         sub = cols[:, stale]
-        near = assign[stale]
-        own = _sq_sum(sub, centers[near].T, np.empty(len(stale)), np.empty(len(stale)))
-        upper[stale] = _upper(own, rel)
-        # no other center is nearer than the nearest one to the own center, minus U
-        gap = _sq_dist(centers.T, centers, np.empty((k, k)), np.empty((k, k)))
-        np.fill_diagonal(gap, _INF)
-        apart = (_lower(gap.min(axis=1), rel)[near] - upper[stale]) * _ROUND_DOWN
-        lower[stale] = np.maximum(lower[stale], apart)
-        loose = ~(upper[stale] < lower[stale])
-        stale, sub = stale[loose], sub[:, loose]
     return centers
 
 
@@ -734,7 +721,6 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
         shift = -int(np.frexp(np.abs(x).max())[1])
         xs = np.ldexp(x, shift)
         idx = cKDTree(xs).query(xs, k=k_nn)[1]
-    idx = np.atleast_2d(idx)
     nb_x = xs[idx] - xs[:, None, :]
     design = np.concatenate([nb_x, np.ones((m, k_nn, 1))], axis=2)
     good, beta = _gradients(design, f[idx])
@@ -762,13 +748,23 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
 
 
 def least_squares_line(x, f) -> tuple[float, float]:
-    """Ordinary least-squares line fit; the Euclidean baseline for comparisons."""
+    """Ordinary least-squares line fit; the Euclidean baseline for comparisons.
+
+    When a sum overflows, the line is fitted to x and f scaled by powers of
+    two into (-1, 1), as ``_rms`` scales the residuals, and scaled back; the
+    scaling is exact for every value it keeps in the normal range.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     f = np.asarray(f, dtype=float).reshape(-1)
     m = len(x)
-    denom = m * np.sum(x * x) - np.sum(x) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = m * np.sum(x * x) - np.sum(x) ** 2
+        num = m * np.sum(x * f) - np.sum(x) * np.sum(f)
+    if not np.isfinite([denom, num]).all() and np.isfinite(x).all() and np.isfinite(f).all():
+        p, q = (int(np.frexp(np.abs(v).max())[1]) for v in (x, f))
+        a, b = least_squares_line(np.ldexp(x, -p), np.ldexp(f, -q))
+        return float(np.ldexp(a, q - p)), float(np.ldexp(b, q))
     if denom == 0:
         return 0.0, float(np.mean(f))
-    a = (m * np.sum(x * f) - np.sum(x) * np.sum(f)) / denom
-    b = float(np.mean(f - a * x))
-    return float(a), b
+    a = num / denom
+    return float(a), float(np.mean(f - a * x))

@@ -195,10 +195,16 @@ def _term_design(X: np.ndarray, slopes: np.ndarray, fill: float) -> np.ndarray:
     return design
 
 
+def _check_tol(tol, name: str = "tol") -> None:
+    """Refuse a tolerance that is given and not a non-negative number."""
+    if tol is not None and not tol >= 0:  # NaN fails the comparison too
+        raise TropicalError(f"{name} must be a non-negative number, got {tol!r}")
+
+
 def argmax_terms(p: TropicalPolynomial, x, tol: float = DEFAULT_VARIETY_TOL) -> set[int]:
-    """Indices of terms within ``tol`` of the extremal value at ``x``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    """Indices of terms within ``tol``, a non-negative number, of the extremal
+    value at ``x``."""
+    _check_tol(tol)
     pt = np.atleast_2d(np.asarray(x, dtype=float))
     if pt.shape[0] != 1:
         raise DimensionMismatchError("argmax_terms takes a single point")
@@ -264,8 +270,7 @@ def convex_hull_2d(points, tol: float | None = None):
     of ``tol`` (default 1e-12), a non-negative number, scaled by the squared
     coordinate magnitude.
     """
-    if tol is not None and not tol >= 0:  # NaN fails the comparison too
-        raise TropicalError(f"tol must be a non-negative number, got {tol!r}")
+    _check_tol(tol)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DimensionMismatchError("convex_hull_2d expects an (N, 2) array")

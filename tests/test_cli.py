@@ -490,6 +490,14 @@ def test_fit_line_command(line_csv, tmp_path, capsys):
     assert (out.parent / "run.residuals.txt").exists()
 
 
+def test_fit_lse_baseline_of_data_beyond_1e154(tmp_path, capsys):
+    # the baseline's sums of squares overflow unless x is scaled first
+    p = tmp_path / "big.csv"
+    p.write_text("x,f\n1e300,1\n-1e300,2\n0,3\n")
+    assert main(["fit", str(p), "--out", str(tmp_path / "run")]) == 0
+    assert "lse_baseline: a=-4.999999999999999e-301 b=2.0 rms=0.7071067811865476\n" in capsys.readouterr().out
+
+
 def test_fit_mmae_maxmin_is_usage_error(line_csv, capsys):
     rc = main(["fit", str(line_csv), "--method", "mmae", "--clodum", "max-min",
                "--slopes", "line"])

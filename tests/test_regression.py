@@ -32,7 +32,7 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _fit_terms, _gradients, _jenks_breaks, _kmeans, _sweep_fits
+from tropalg.regression import _fit_terms, _gradient_pool, _gradients, _jenks_breaks, _kmeans, _sweep_fits
 
 INF = float("inf")
 
@@ -254,9 +254,11 @@ def test_fit_carrier_error_names_the_first_sample_outside():
 
 def test_fit_carrier_error_names_the_first_nan_sample():
     # the message is about a NaN, so it names the NaN, not the earlier value
-    # outside the carrier
+    # outside the carrier, whether the NaN is in a design row or a target
     with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: sample 1 \(x = nan\), f = 0\.5$"):
         fit_line([-1.0, np.nan], [0.5, 0.5], MAX_MIN)
+    with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: sample 1 \(x = 0\.5\), f = nan$"):
+        fit_line([-1.0, 0.5], [0.5, np.nan], MAX_MIN)
 
 
 @pytest.mark.parametrize("clodum, x, err, match", [
@@ -800,6 +802,11 @@ def test_least_squares_baseline():
     a, b = least_squares_line(x, f)
     assert a == pytest.approx(2.0)
     assert b == pytest.approx(1.0)
+    # beyond about 1e154 the sums of squares overflow unless x is scaled first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = least_squares_line([1e300, -1e300, 0.0], [1.0, 2.0, 3.0])
+    assert a == pytest.approx(-5e-301, rel=1e-15) and b == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +842,16 @@ def test_kmeans_matches_mask_oracle_bytes_large():
     for k in (3, 16):
         got = _kmeans(pts, k, np.random.default_rng(k))
         assert got.tobytes() == kmeans_masks(pts, k, np.random.default_rng(k)).tobytes()
+    # the gradient pool of a 2-D fit: 5000 samples of a four-term log-sum-exp
+    # with noise of +-0.02, as the fit-2d benchmark clusters it
+    rng = np.random.default_rng(77)
+    x = rng.uniform(-2.0, 2.0, size=(5000, 2))
+    planes = [x[:, 0], x[:, 1], -x[:, 0] - x[:, 1], 0.5 * x[:, 0] - x[:, 1]]
+    f = np.logaddexp.reduce(planes, axis=0) + rng.uniform(-0.02, 0.02, size=5000)
+    pool = _gradient_pool(x, f)[0]
+    for seed in range(4):
+        got = _kmeans(pool, 16, np.random.default_rng(seed))
+        assert got.tobytes() == kmeans_masks(pool, 16, np.random.default_rng(seed)).tobytes(), seed
 
 
 def test_kmeans_empty_clusters_reseed_like_oracle():
@@ -952,7 +969,7 @@ def test_kmeans_sixteen_decades_like_oracle():
 
 def test_kmeans_bounds_skip_most_distance_rows(monkeypatch):
     # the Lloyd steps recompute only the rows their bounds do not settle, so
-    # far fewer than one full m x k pass per step (about 8% of them here)
+    # far fewer than one full m x k pass per step (about 14% of them here)
     m, k = 20_000, 16
     rows, steps = [0], [0]
     sq_dist, centroids = tropalg.regression._sq_dist, tropalg.regression._centroids

@@ -267,6 +267,17 @@ def test_min_orientation_takes_the_least_terms():
     assert not on_variety(p, [2.0])
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_argmax_tolerance_must_be_non_negative(tol):
+    # a NaN tol would find no term within it, so a tie would be off the variety
+    p = TropicalPolynomial.from_terms([([1.0], -2.0), ([0.0], 3.0)])
+    for call in (argmax_terms, on_variety):
+        with pytest.raises(TropicalError, match=r"^tol must be a non-negative number, got ") as info:
+            call(p, [5.0], tol=tol)
+        assert type(info.value) is TropicalError
+    assert argmax_terms(p, [5.0], tol=0.0) == {0, 1}
+
+
 def test_on_variety_bend_and_tolerance():
     p = TropicalPolynomial.from_terms([([1.0], -2.0), ([0.0], 3.0)])
     assert on_variety(p, [5.0])

@@ -192,7 +192,8 @@ _NAMED_SLOPES = {"line": (1, "one feature column"), "plane": (2, "two feature co
 def _slope_policy(arg: str | None, width: int, seed: int) -> GivenSlopes | AutoSlopes:
     """The slope policy of ``--slopes``, or without it of the feature width:
     ``line``/``plane`` are the given rows of the tropical line and plane,
-    ``auto:K`` estimates K slopes, and anything else names a slope file."""
+    ``auto:K`` estimates K slopes, and anything else names a slope file,
+    whose rows must have one entry per feature."""
     if arg is None:
         if width > 2:
             raise TropicalError("datasets with more than two features need an explicit --slopes")
@@ -208,7 +209,11 @@ def _slope_policy(arg: str | None, width: int, seed: int) -> GivenSlopes | AutoS
         except ValueError:
             raise TropicalError(f"bad slope count in {arg!r}") from None
         return AutoSlopes(count, seed)
-    return GivenSlopes(_read_slopes(arg))
+    slopes = _read_slopes(arg)
+    if slopes.shape[1] != width:
+        raise TropicalError(f"{arg}: slope vectors and samples disagree on dimension "
+                            f"({slopes.shape[1]} against {width})")
+    return GivenSlopes(slopes)
 
 
 def _axis(values: np.ndarray, grid: int) -> np.ndarray:

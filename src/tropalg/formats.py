@@ -386,7 +386,8 @@ def _read_csv(path: str, has_header: bool) -> tuple[list[str], np.ndarray]:
 
 
 def _read_slopes(path) -> np.ndarray:
-    """The rows of a slope file: one slope vector per non-blank line."""
+    """The rows of a slope file: one slope vector of finite entries per
+    non-blank line."""
     rows = []
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -397,6 +398,8 @@ def _read_slopes(path) -> np.ndarray:
                 rows.append([float(t) for t in tokens])
             except ValueError:
                 raise TropicalError(f"{path}:{lineno}: non-numeric slope entry in {line.strip()!r}") from None
+            if not np.isfinite(rows[-1]).all():
+                raise TropicalError(f"{path}:{lineno}: non-finite slope entry in {line.strip()!r}")
             if len(rows[-1]) != len(rows[0]):
                 raise TropicalError(
                     f"{path}:{lineno}: ragged slope row has {len(rows[-1])} entries, expected {len(rows[0])}"

@@ -534,7 +534,10 @@ def _lower(sq: np.ndarray, rel: float) -> np.ndarray:
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ with Lloyd iterations; empty clusters re-seed, in
     ascending cluster order, from the point currently farthest from its
-    assigned center.
+    assigned center.  The Lloyd steps stop once no center coordinate moves by
+    more than ``KMEANS_TOL`` times the largest |coordinate| of the points, a
+    rule that scaling the points by a power of two leaves unchanged, or after
+    ``KMEANS_MAX_ITER`` steps.
 
     Memory is two m*k buffers, filled in place; the m*k*n difference tensor
     is never built.  Distances sum the n coordinates in order and centroids
@@ -590,6 +593,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         centers[c] = points[idx]
         np.minimum(d2, _sq_dist(cols, centers[c:c + 1], near, tmp)[:, 0], out=d2)
     rel = _BOUND_SLACK * (n + 4)
+    tol = KMEANS_TOL * np.abs(points).max()
     dist, tmp = np.empty((m, k)), np.empty((m, k))
     assign = np.empty(m, dtype=np.intp)
     upper, lower = np.empty(m), np.empty(m)
@@ -614,7 +618,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         shift = float(np.max(np.abs(new_centers - centers)))
         drift = _upper(_sq_sum(new_centers.T, centers.T, np.empty(k), np.empty(k)), rel)
         centers = new_centers
-        if shift <= KMEANS_TOL:
+        if shift <= tol:
             break
         if reseed:
             stale, sub = slice(None), cols
@@ -628,40 +632,36 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return centers
 
 
-# A neighbourhood design whose smallest singular value is within this many
-# times ``matrix_rank``'s tolerance is re-ranked by ``np.linalg.matrix_rank``
-# itself: its values-only SVD may round differently from the SVD with vectors
-# used here, by far less than this band.
-_RANK_GUARD = 1000.0
+# A centred neighbourhood is full rank when the smallest eigenvalue of its
+# Gram matrix exceeds this fraction of the largest.  Forming the Gram matrix
+# and ``eigvalsh`` move an eigenvalue by about (k + n) * eps times the
+# largest, hundreds of times less, so the verdict is the exact matrix's
+# except within that rounding of the rule.
+_RANK_TOL = 2.0**-40
 
 
-def _gradients(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares affine fits of ``values`` over every neighbourhood design.
+def _gradients(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares affine fits of ``values`` (m, k) over the neighbour
+    ``offsets`` (m, k, n) of every neighbourhood.
 
-    Returns the mask of full-rank designs and, for those, the fitted
-    coefficients ``pinv(design) @ values``.  One SVD with vectors serves both
-    the rank test and the pseudo-inverse.  Designs with s_min well above
-    ``matrix_rank``'s tolerance max(rows, cols)*eps*s_max are full rank; those
-    in the guard band get ``matrix_rank``'s own verdict, so the mask is the one
-    ``matrix_rank(design) == cols`` gives.  The pseudo-inverse of the full-rank
-    designs repeats numpy's ``pinv`` formula step for step (rcond 1e-15, the
-    reciprocal of the large values, zeros elsewhere, then vt^T @ (s * u^T)),
-    so the coefficients are bit for bit those of ``np.linalg.pinv``.
+    The offsets and values of each neighbourhood are centred, which takes the
+    intercept out of the fit, and the slopes solve the normal equations
+    gram @ beta = rhs with gram = off^T off and rhs = off^T val.  A
+    neighbourhood is kept when its Gram matrix has
+    lambda_min > ``_RANK_TOL`` * lambda_max, so every solve has a condition
+    number below 2^40.  Returns the mask of kept neighbourhoods and their
+    slopes, each bit for bit what the same steps give one neighbourhood at a
+    time (``tests/oracles.py::gradients_per_neighbourhood``).  Every step is
+    linear in the values, so values scaled by a power of two give slopes
+    scaled by it, exactly.
     """
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    tol = max(design.shape[1:]) * np.finfo(float).eps * s[:, 0]
-    good = s[:, -1] > _RANK_GUARD * tol
-    band = np.flatnonzero(~good)
-    if len(band):
-        good[band] = np.linalg.matrix_rank(design[band]) == design.shape[2]
-    if not good.all():
-        u, s, vt = u[good], s[good], vt[good]
-    large = s > 1e-15 * np.amax(s, axis=-1, keepdims=True)
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
-    pinv = np.matmul(np.swapaxes(vt, -1, -2), np.multiply(s[..., None], np.swapaxes(u, -1, -2)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        beta = pinv @ values[good][..., None]
+    off = offsets - offsets.mean(axis=1, keepdims=True)
+    val = values - values.mean(axis=1, keepdims=True)
+    off_t = np.swapaxes(off, 1, 2)
+    gram = off_t @ off
+    lam = np.linalg.eigvalsh(gram)
+    good = lam[:, 0] > _RANK_TOL * lam[:, -1]
+    beta = np.linalg.solve(gram[good], off_t[good] @ val[good][..., None])
     return good, beta[..., 0]
 
 
@@ -674,7 +674,10 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
 
     The gradients come from ``_gradient_pool``; clustering uses k-means++
     initialization from ``seed``, a non-negative integer, and Lloyd steps
-    that skip the distance rows their bounds settle (see ``_kmeans``).  The
+    that skip the distance rows their bounds settle and stop on a move
+    relative to the gradients' size (see ``_kmeans``).  Both stages commute
+    with scaling by powers of two, so (2^a x, 2^b f) gives 2^(b-a) times the
+    slopes, bit for bit, while no value underflows or overflows.  The
     notes of the pool (skipped neighbourhoods) have no place in the returned
     array, so each is passed to ``warnings.warn``, pointing at the caller's
     line.
@@ -694,43 +697,35 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     """The local gradients of n-D samples, one row per full-rank neighbourhood,
     and the notes of the pool.
 
-    Each sample's gradient comes from a least-squares affine fit over its
-    max(n+2, 8) nearest neighbours.  One batched SVD per neighbourhood gives
-    both the rank test and the pseudo-inverse, bit for bit what
-    ``np.linalg.matrix_rank`` and ``np.linalg.pinv`` give (see
-    ``_gradients``).  Rank-deficient neighbourhoods are skipped, and a note
-    says how many.
-
-    When the squared neighbour distances of x overflow, the neighbours and
-    gradients are taken on x scaled by a power of two, exactly, so finite
-    coordinates of any spread can be fitted; every other input gives the same
-    gradients as without this step, bit for bit.  Gradients that overflow or
-    are too large for k-means to sum their squared distances raise
-    :class:`TropicalError` naming the sample.
+    x is first scaled by 2^shift into (-1, 1), with shift = -frexp(max|x|)[1],
+    which is exact: the tree's squared distances cannot overflow, and x times
+    any power of two gives the same scaled coordinates.  Each sample's
+    gradient comes from a least-squares affine fit over its max(n+2, 8)
+    nearest neighbours, solved from the centred normal equations of the
+    neighbourhood (see ``_gradients``), and is scaled back by 2^shift.
+    Neighbourhoods whose Gram matrix fails the rank rule lambda_min >
+    2^-40 lambda_max are skipped, and a note says how many.  Every step
+    commutes with scaling by powers of two, so fitting (2^a x, 2^b f) gives
+    2^(b-a) times the gradients, bit for bit, while no value underflows or
+    overflows.  Gradients that overflow or are too large for k-means to sum
+    their squared distances raise :class:`TropicalError` naming the sample.
     """
     from scipy.spatial import cKDTree  # heavy import, needed only here
 
     m, n = x.shape
     k_nn = min(max(n + 2, 8), m)
-    xs, shift = x, 0
-    reach, idx = cKDTree(xs).query(xs, k=k_nn)
-    if not np.isfinite(reach).all():
-        # the tree squares distances, and some overflowed: query x scaled by
-        # 2^shift into (-1, 1), exactly, so the neighbour order is the same;
-        # offsets on the scale of the designs' column of ones keep their rank
-        shift = -int(np.frexp(np.abs(x).max())[1])
-        xs = np.ldexp(x, shift)
-        idx = cKDTree(xs).query(xs, k=k_nn)[1]
-    nb_x = xs[idx] - xs[:, None, :]
-    design = np.concatenate([nb_x, np.ones((m, k_nn, 1))], axis=2)
-    good, beta = _gradients(design, f[idx])
+    shift = -int(np.frexp(np.abs(x).max())[1])
+    xs = np.ldexp(x, shift)
+    idx = cKDTree(xs).query(xs, k=k_nn)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        good, beta = _gradients(xs[idx] - xs[:, None, :], f[idx])
+        # the gradient in x is the gradient in x * 2^shift, times 2^shift
+        gradients = np.ldexp(beta, shift)
     if not good.any():
         raise TropicalError("every neighbourhood is rank-deficient; cannot estimate gradients")
     notes = ()
     if not good.all():
         notes = (f"skipped {int((~good).sum())} samples with rank-deficient neighbourhoods",)
-    # the gradient in x is the gradient in x * 2^shift, times 2^shift
-    gradients = np.ldexp(beta[:, :n], shift)
     rows = np.flatnonzero(good)
     bad = ~np.isfinite(gradients).all(axis=1)
     if bad.any():

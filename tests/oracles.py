@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's own algorithms: the hull oracle uses
-edge detection instead of the monotone chain, and the product, term-table and
-natural-breaks oracles use naive loops instead of vectorized reductions.  The
+edge detection instead of the monotone chain, the product, term-table and
+natural-breaks oracles use naive loops instead of vectorized reductions, and
+the gradient oracle solves one neighbourhood at a time instead of a batch.  The
 tensor matrix product, the per-sample signal loops, the whole-table polynomial
 evaluation and matrix-vector products, the always-NaN-filling clodum kernels,
 the mask-based k-means, the ``matrix_rank`` + ``pinv`` gradient stage, the
@@ -263,6 +264,7 @@ def kmeans_masks(points, k, rng):
     from tropalg.regression import KMEANS_MAX_ITER, KMEANS_TOL
 
     n = len(points)
+    tol = KMEANS_TOL * np.abs(points).max()
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
@@ -289,9 +291,27 @@ def kmeans_masks(points, k, rng):
                 own[far] = 0.0
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift <= KMEANS_TOL:
+        if shift <= tol:
             break
     return centers
+
+
+def gradients_per_neighbourhood(offsets, values):
+    """The gradient stage of the n-D slope estimator, one neighbourhood at a
+    time: centre its offsets O and values v, keep it when ``eigvalsh(O.T @ O)``
+    has lambda_min > 2^-40 lambda_max, and solve (O.T @ O) beta = O.T @ v;
+    returns (mask, slopes of the kept neighbourhoods)."""
+    good = np.zeros(len(offsets), dtype=bool)
+    slopes = []
+    for i, (o, v) in enumerate(zip(offsets, values)):
+        o = o - o.mean(axis=0)
+        v = v - v.mean()
+        gram = o.T @ o
+        lam = np.linalg.eigvalsh(gram)
+        if lam[0] > 2.0**-40 * lam[-1]:
+            good[i] = True
+            slopes.append(np.linalg.solve(gram, o.T @ v))
+    return good, np.array(slopes).reshape(-1, offsets.shape[2])
 
 
 def gradients_rank_pinv(design, values):

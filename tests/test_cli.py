@@ -767,6 +767,29 @@ def test_fit_ragged_slope_file_is_usage_error(tmp_path, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e400"])
+def test_fit_non_finite_slope_file_names_its_line(line_csv, tmp_path, capsys, entry):
+    slopes = tmp_path / "slopes.txt"
+    slopes.write_text(f"1\n\n{entry}\n", encoding="utf-8")
+    rc = main(["fit", str(line_csv), "--slopes", str(slopes), "--out", str(tmp_path / "sf")])
+    assert _one_line_usage_error(rc, capsys) == f"tropalg: error: {slopes}:3: non-finite slope entry in {entry!r}\n"
+    assert list(tmp_path.glob("sf.*")) == []
+
+
+@pytest.mark.parametrize("table, rows, got, want", [
+    ("x,f\n0,1\n1,2\n2,4\n", "1 0\n0 1\n", 2, 1),
+    ("x,y,f\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", "1 0 2\n", 3, 2),
+], ids=["wider", "widest"])
+def test_fit_slope_file_of_another_width_names_it(tmp_path, capsys, table, rows, got, want):
+    data = tmp_path / "data.csv"
+    data.write_text(table, encoding="utf-8")
+    slopes = tmp_path / "slopes.txt"
+    slopes.write_text(rows, encoding="utf-8")
+    rc = main(["fit", str(data), "--slopes", str(slopes), "--out", str(tmp_path / "sf")])
+    assert _one_line_usage_error(rc, capsys) == (
+        f"tropalg: error: {slopes}: slope vectors and samples disagree on dimension ({got} against {want})\n")
+
+
 def test_fit_negative_grid_rejected_before_output(line_csv, tmp_path, capsys):
     out = tmp_path / "g"
     rc = main(["fit", str(line_csv), "--slopes", "line", "--grid", "-1", "--out", str(out)])

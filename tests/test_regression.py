@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tropalg.regression
-from oracles import gradients_rank_pinv, jenks_breaks_dp, kmeans_masks
+from oracles import gradients_per_neighbourhood, gradients_rank_pinv, jenks_breaks_dp, kmeans_masks
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -443,29 +443,47 @@ def test_estimate_slopes_nd_degenerate_neighbourhoods():
         estimate_slopes_nd(x, f, 2, seed=0)
 
 
-def _designs_around_rank_tolerance(rng, count, rows=8, cols=3):
-    """Designs U diag(s) V^T whose smallest singular value is 10^-3 .. 10^5
-    times matrix_rank's tolerance max(rows, cols) * eps * s_max."""
-    left = np.linalg.qr(rng.normal(size=(count, rows, cols)))[0]
+def _centred_offsets(rng, count, rows, cols, smallest):
+    """Neighbour offsets (count, rows, cols), each a translate of a centred
+    set whose singular values are 1, cols - 2 draws in [0.5, 1] and
+    ``smallest`` (one per neighbourhood)."""
+    basis = rng.normal(size=(count, rows, cols))
+    left = np.linalg.qr(basis - basis.mean(axis=1, keepdims=True))[0]
     right = np.linalg.qr(rng.normal(size=(count, cols, cols)))[0]
     s = np.ones((count, cols))
-    s[:, 1:-1] = rng.uniform(0.1, 1.0, (count, cols - 2))
-    s[:, -1] = rows * np.finfo(float).eps * np.geomspace(1e-3, 1e5, count)
-    return (left * s[:, None, :]) @ right
+    s[:, 1:-1] = rng.uniform(0.5, 1.0, (count, cols - 2))
+    s[:, -1] = smallest
+    return (left * s[:, None, :]) @ right + rng.normal(size=(count, 1, cols))
 
 
-def test_gradients_match_rank_pinv_oracle_bytes():
+def test_gradients_match_per_neighbourhood_oracle_bytes():
+    # smallest singular values from 10^-2 to 10^2 times 2^-20, the square
+    # root of the rank rule lambda_min > 2^-40 lambda_max
     rng = np.random.default_rng(79)
-    for rows, cols in ((8, 3), (8, 4), (9, 8)):
+    for rows, cols in ((8, 2), (8, 3), (8, 5), (9, 7)):
         for scale in (1e-100, 1.0, 1e100):
-            design = _designs_around_rank_tolerance(rng, 400, rows, cols) * scale
+            offsets = _centred_offsets(rng, 400, rows, cols, 2.0**-20 * np.geomspace(1e-2, 1e2, 400)) * scale
             values = rng.normal(size=(400, rows))
-            good, beta = _gradients(design, values)
-            want_good, want_beta = gradients_rank_pinv(design, values)
-            # both verdicts occur, and the guard band re-ranks full-rank designs
+            good, beta = _gradients(offsets, values)
+            want_good, want_beta = gradients_per_neighbourhood(offsets, values)
             assert 0 < want_good.sum() < len(want_good)
             assert np.array_equal(good, want_good), (rows, cols, scale)
             assert beta.tobytes() == want_beta.tobytes(), (rows, cols, scale)
+
+
+def test_gradients_close_to_rank_pinv_oracle_when_well_conditioned():
+    # the slopes of the former pinv fit over the design [offsets, 1], to
+    # within 1e-12 of each neighbourhood's largest slope
+    rng = np.random.default_rng(80)
+    for rows, cols in ((8, 2), (8, 3), (8, 5), (9, 7)):
+        offsets = _centred_offsets(rng, 400, rows, cols, rng.uniform(0.5, 1.0, 400))
+        values = rng.normal(size=(400, rows))
+        good, beta = _gradients(offsets, values)
+        want_good, want_beta = gradients_rank_pinv(
+            np.concatenate([offsets, np.ones((400, rows, 1))], axis=2), values)
+        assert good.all() and want_good.all()
+        want = want_beta[:, :cols]
+        assert (np.abs(beta - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1)).all(), (rows, cols)
 
 
 def _slopes_nd_former(x, f, count, seed):
@@ -479,6 +497,21 @@ def _slopes_nd_former(x, f, count, seed):
     design = np.concatenate([x[idx] - x[:, None, :], np.ones((m, k_nn, 1))], axis=2)
     good, beta = gradients_rank_pinv(design, f[idx])
     return good, kmeans_masks(beta[:, :n], count, np.random.default_rng(seed))
+
+
+def _slopes_nd_oracle(x, f, count, seed):
+    """The n-D estimator from its oracles: k-NN offsets on x scaled by a power
+    of two into (-1, 1), the per-neighbourhood gradients and mask-based
+    k-means; returns (kept mask, slopes)."""
+    from scipy.spatial import cKDTree
+
+    m, n = x.shape
+    k_nn = min(max(n + 2, 8), m)
+    e = int(np.frexp(np.abs(x).max())[1])
+    xs = np.ldexp(x, -e)
+    idx = cKDTree(xs).query(xs, k=k_nn)[1]
+    good, beta = gradients_per_neighbourhood(xs[idx] - xs[:, None, :], f[idx])
+    return good, kmeans_masks(np.ldexp(beta, -e), count, np.random.default_rng(seed))
 
 
 def _partly_degenerate_samples(rng, jitter):
@@ -496,13 +529,17 @@ def _partly_degenerate_samples(rng, jitter):
 
 
 def test_estimate_slopes_nd_skips_degenerate_neighbourhoods_like_former():
-    # duplicates (rank 1) and collinear points (rank 2) are skipped, the rest kept
+    # duplicates (rank 1) and collinear points (rank 2) are skipped, the rest
+    # kept: the former mask exactly, and slopes within 4 ulp of the former ones
     x, f = _partly_degenerate_samples(np.random.default_rng(83), ())
-    good, want = _slopes_nd_former(x, f, 4, 5)
-    assert (~good).sum() == 22
+    former_good, former = _slopes_nd_former(x, f, 4, 5)
+    good, want = _slopes_nd_oracle(x, f, 4, 5)
+    assert (~former_good).sum() == 22
+    assert np.array_equal(good, former_good)
     with pytest.warns(UserWarning, match=r"^skipped 22 samples with rank-deficient neighbourhoods$"):
         got = estimate_slopes_nd(x, f, 4, seed=5)
     assert got.tobytes() == want.tobytes()
+    assert np.abs(got - former).max() <= 4 * np.spacing(np.abs(former).max())
 
 
 def test_fit_reports_carry_the_skipped_neighbourhoods():
@@ -592,12 +629,24 @@ def test_fit_carries_only_its_own_notes_while_another_thread_warns(monkeypatch):
     assert raised == ["a warning of another thread"]
 
 
-def test_estimate_slopes_nd_near_rank_tolerance_like_former():
-    # nearly collinear neighbourhoods whose smallest singular value lies
-    # around matrix_rank's tolerance, 8 * eps * s_max with s_max ~ 3
-    scales = 24 * np.finfo(float).eps * np.geomspace(1e-2, 1e4, 24)
+def test_estimate_slopes_nd_near_rank_tolerance_like_svd_oracle():
+    # nearly collinear groups whose centred neighbourhoods have
+    # (s_min / s_max)^2 from about 2^-55 to 2^-28, around the rank rule
+    # lambda_min > 2^-40 lambda_max; the mask is the verdict of the exact
+    # singular values, except in groups within 2x of the rule, left out
+    from scipy.spatial import cKDTree
+
+    scales = 2.0**-20 * np.geomspace(1e-3, 1e1, 24)
     x, f = _partly_degenerate_samples(np.random.default_rng(89), scales)
-    good, want = _slopes_nd_former(x, f, 4, 6)
+    good, want = _slopes_nd_oracle(x, f, 4, 6)
+    offsets = x[cKDTree(x).query(x, k=8)[1]]
+    s = np.linalg.svd(offsets - offsets.mean(axis=1, keepdims=True), compute_uv=False)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the duplicates
+        margin = (s[:, -1] / s[:, 0]) ** 2 / 2.0**-40
+    group = np.r_[np.full(172, -1), np.repeat(np.arange(len(scales)), 9)]
+    near = np.isin(group, group[(margin > 0.5) & (margin < 2)])
+    assert 0 < near.sum() < 9 * len(scales) // 4
+    assert np.array_equal(good[~near], margin[~near] > 1)
     skipped = int((~good).sum())
     assert 22 < skipped < 22 + 9 * len(scales)
     with pytest.warns(UserWarning, match=rf"^skipped {skipped} samples with"):
@@ -606,16 +655,35 @@ def test_estimate_slopes_nd_near_rank_tolerance_like_former():
 
 
 def test_estimate_slopes_nd_fits_widely_spread_coordinates():
-    # neighbours more than ~1.3e154 apart have squared distances that
-    # overflow; the neighbours are then found on x scaled by a power of two
+    # x is scaled by a power of two into (-1, 1) before the neighbours are
+    # queried, so neighbours more than ~1.3e154 apart, whose squared distances
+    # overflow, are found, and x and f scaled by 2^600 give the same slopes
     rng = np.random.default_rng(0)
     x = rng.uniform(-2, 2, (300, 2))
     f = np.log(np.exp(x).sum(axis=1) + np.exp(-x[:, 0]))
     want = estimate_slopes_nd(x, f, 5, seed=1)
     got = estimate_slopes_nd(np.ldexp(x, 600), np.ldexp(f, 600), 5, seed=1)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert np.array_equal(got, want)
     wide = rng.uniform(-1, 1, (30, 2)) * 1.5e308  # neighbours up to 3e308 apart
     assert np.array_equal(estimate_slopes_nd(wide, wide[:, 0] * 0.0, 3), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("a, b", [(50, 50), (-50, -50), (60, 60), (-60, -60), (600, 600),
+                                  (10, 0), (-40, 3), (0, 50), (0, -50), (30, -30)])
+def test_nd_slopes_scale_by_powers_of_two(a, b):
+    # fitting (2^a x, 2^b f) gives 2^(b - a) times the gradients and slopes,
+    # bit for bit
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-2, 2, (300, 2))
+    f = np.log(np.exp(x).sum(axis=1) + np.exp(-x[:, 0])) + rng.uniform(-0.02, 0.02, 300)
+    xa, fb = np.ldexp(x, a), np.ldexp(f, b)
+    pool, notes = _gradient_pool(x, f)
+    scaled, scaled_notes = _gradient_pool(xa, fb)
+    assert scaled.tobytes() == np.ldexp(pool, b - a).tobytes()
+    assert scaled_notes == notes
+    want = fit_max_affine(FitProblem(x, f, AutoSlopes(8, 3))).model.slopes
+    got = fit_max_affine(FitProblem(xa, fb, AutoSlopes(8, 3))).model.slopes
+    assert got.tobytes() == np.ldexp(want, b - a).tobytes()
 
 
 def test_estimate_slopes_nd_overflowing_gradients_name_the_sample():
@@ -628,6 +696,9 @@ def test_estimate_slopes_nd_overflowing_gradients_name_the_sample():
         estimate_slopes_nd(x, 1e300 * x[:, 0], 3)
     with pytest.raises(TropicalError, match="overflows"):
         fit_max_affine(FitProblem(x, f, AutoSlopes(3)))
+    # gradients that overflow only when scaled back from x * 2^shift
+    with pytest.raises(TropicalError, match=r"gradient at sample \d+ \(x = .*\) overflows"):
+        estimate_slopes_nd(x * 1e-300, np.abs(x).sum(axis=1) * 1e300, 3)
 
 
 # ---------------------------------------------------------------------------

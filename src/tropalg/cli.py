@@ -33,6 +33,7 @@ import numpy as np
 
 from .clodum import CarrierError, Clodum, TropicalError
 from .formats import (
+    _naming,
     _read_csv,
     _read_slopes,
     _row,
@@ -271,7 +272,8 @@ def run_fit(args) -> int:
     ]
     policy = (AutoSlopes(args.sweep_k[0], args.seed) if args.sweep_k
               else _slope_policy(args.slopes, data.features.shape[1], args.seed))
-    problem = FitProblem(data.features, data.target, policy, clodum)
+    with _naming(data.provenance):
+        problem = FitProblem(data.features, data.target, policy, clodum)
 
     if args.sweep_k:
         lo, hi = args.sweep_k
@@ -460,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a polynomial file at points")
     p_eval.add_argument("poly")
     p_eval.add_argument("--data", default=None, help="CSV of points, optionally with a target column last")
-    p_eval.add_argument("--at", default=None, help="comma-separated coordinates of one point")
+    p_eval.add_argument("--at", default=None, help="comma-separated coordinates of one point; "
+                        "write --at=-0.5,0.25 when the first is negative")
     p_eval.add_argument("--target", default=None)
     p_eval.add_argument("--no-header", action="store_true")
     p_eval.add_argument("--out", default=None)

@@ -25,6 +25,12 @@ max-plus each slope row is one-hot (a term acting on one coordinate) or zero
 ``_coordinate_slopes(1)`` and ``_coordinate_slopes(2)``, so ``fit_line``,
 ``fit_plane`` and the CLI's ``--slopes line``/``plane`` are given-slopes fits.
 Estimated slopes are general vectors and need max-plus.
+
+Every fit and every slope estimate enters through :class:`FitProblem`, whose
+check of the samples is the only one: the first sample holding a NaN or an
+infinity, in x or in f, is refused by name before any slope is estimated or
+intercept solved.  The fit itself checks only what depends on the clodum,
+the samples' design rows in its carrier.
 """
 
 from __future__ import annotations
@@ -80,12 +86,6 @@ class GivenSlopes:
         object.__setattr__(self, "values", vals)
 
 
-def _check_seed(seed) -> None:
-    """Refuse a k-means seed that is not a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise TropicalError(f"the seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class AutoSlopes:
     """Estimate ``count`` slope vectors from the data derivatives; ``seed``,
@@ -97,12 +97,18 @@ class AutoSlopes:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise TropicalError("slope count must be >= 1")
-        _check_seed(self.seed)
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise TropicalError(f"the seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class FitProblem:
-    """Samples (x_i, f_i), the clodum to fit over, and the slope policy."""
+    """Samples (x_i, f_i), the clodum to fit over, and the slope policy.
+
+    The one sample check of every fit and slope estimate: the first sample
+    with a NaN or an infinity in x or f raises :class:`TropicalError`,
+    ``samples must be finite: sample i (x = ...), f = ...``.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -118,8 +124,10 @@ class FitProblem:
             raise DimensionMismatchError("inputs must be (m, n) with one target per sample")
         if x.shape[0] < 1:
             raise TropicalError("need at least one sample")
-        if not np.isfinite(x).all() or not np.isfinite(f).all():
-            raise TropicalError("samples must be finite")
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(f))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise TropicalError(f"samples must be finite: {_sample_text(x, i)}, f = {float(f[i])!r}")
         if isinstance(self.slopes, AutoSlopes) and self.slopes.count > x.shape[0]:
             raise TropicalError("cannot estimate more slopes than samples")
         x = x.copy()
@@ -179,16 +187,17 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
                method: str, source: str, notes: tuple[str, ...] = ()) -> FitReport:
     """Optimal intercepts for max-affine terms with these slope rows.
 
-    The method, the slopes' dimension and the polynomial's rule for slope rows
-    over ``clodum`` are checked, in that order, before the design is built.
-    The design matrix is the model's own term table at the samples, so the
+    ``x`` and ``f`` are the finite samples of a :class:`FitProblem`.  The
+    method, the slopes' dimension, the polynomial's rule for slope rows over
+    ``clodum`` and the samples' carrier are checked, in that order.  The
+    design matrix is the model's own term table at the samples, so the
     intercepts are the x_hat/x_tilde of the design system.  Checking the fresh
-    design in place is the one carrier check of the samples; the finiteness
-    checks follow, so NaN and out-of-carrier values raise
-    :class:`CarrierError` first, naming the first sample outside the carrier.
-    The design is fresh and C-ordered, so it is adopted as is, without the
-    copy a ``TropicalMatrix`` would make.  ``notes`` lead the report's
-    warnings.
+    design in place is the one carrier check of the samples: values outside
+    the clodum's carrier (max-min [0, 1], max-times >= 0), and a max-plus
+    design entry whose ``X @ slopes.T`` overflows to NaN, raise
+    :class:`CarrierError` naming the first such sample.  The design is fresh
+    and C-ordered, so it is adopted as is, without the copy a
+    ``TropicalMatrix`` would make.  ``notes`` lead the report's warnings.
     """
     _check_method(method, clodum)
     if slopes.shape[1] != x.shape[1]:
@@ -199,10 +208,6 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
         target = TropicalVector(f, clodum)
     except CarrierError:
         raise CarrierError(_outside_text(x, f, slopes, clodum)) from None
-    if not np.isfinite(f).all():
-        raise TropicalError("target values must be finite")
-    if not np.isfinite(x).all():
-        raise TropicalError("evaluation points must be finite")
     sol = _solve_checked(design, target, method)
     if method == "mmae":
         intercepts, res = sol.x_tilde.values, sol.residual_mmae
@@ -223,8 +228,8 @@ def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
 
 def _outside_text(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum) -> str:
     """The carrier error of the samples, from one check of their design rows
-    beside the targets: its message, then the first sample whose row or
-    target holds a NaN, or without one the first outside the carrier."""
+    beside the targets: its message, then the first sample whose design row
+    holds a NaN, or without one the first outside the carrier."""
     rows = np.column_stack([_term_design(x, slopes, clodum.unit), f])
     try:
         clodum.validate(rows)
@@ -244,22 +249,26 @@ def fit_line(x, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
 
     The design system has columns x and unit, so the GLE parameters are
     a = inf_i adjoint_erosion(x_i, f_i) and b = inf_i f_i for every clodum;
-    MMAE (max-plus only) shifts both up by half the GLE l_inf error.
+    MMAE (max-plus only) shifts both up by half the GLE l_inf error.  It is
+    ``fit_max_affine`` of a :class:`FitProblem` with the line's given slope
+    rows, so the samples are checked there.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     f = np.asarray(f, dtype=float).reshape(-1)
     if x.shape != f.shape or len(x) < 1:
         raise DimensionMismatchError("x and f must be equal-length non-empty vectors")
-    return _fit_terms(x[:, None], f, _coordinate_slopes(1), clodum, method, "given")
+    return fit_max_affine(FitProblem(x, f, GivenSlopes(_coordinate_slopes(1)), clodum), method)
 
 
 def fit_plane(xy, f, clodum: Clodum = MAX_PLUS, method: str = "gle") -> FitReport:
-    """Closed-form fit of max(mul(a, x), mul(b, y), c) to 2-D data."""
+    """Closed-form fit of max(mul(a, x), mul(b, y), c) to 2-D data: the
+    ``fit_max_affine`` of a :class:`FitProblem` with the plane's given slope
+    rows, once xy is checked to be (m, 2)."""
     xy = np.asarray(xy, dtype=float)
     f = np.asarray(f, dtype=float).reshape(-1)
     if xy.ndim != 2 or xy.shape[1] != 2 or xy.shape[0] != len(f) or len(f) < 1:
         raise DimensionMismatchError("xy must be (m, 2) with one target per sample")
-    return _fit_terms(xy, f, _coordinate_slopes(2), clodum, method, "given")
+    return fit_max_affine(FitProblem(xy, f, GivenSlopes(_coordinate_slopes(2)), clodum), method)
 
 
 def _check_max_affine(clodum: Clodum, method: str) -> None:
@@ -425,13 +434,11 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
     """Slope candidates for 1-D data: natural breaks of the derivative estimates.
 
     The clustering is an exact 1-D k-means, so the result is deterministic;
-    ``seed`` is accepted for interface symmetry with the n-D estimator.
+    ``seed`` is accepted for interface symmetry with the n-D estimator.  The
+    samples are checked by the :class:`FitProblem` of the estimate.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    if x.shape != f.shape:
-        raise DimensionMismatchError("x and f must have equal length")
-    return next(_slope_sets(x, f, [count], seed))[0][:, 0]
+    problem = FitProblem(np.ravel(x), np.ravel(f), AutoSlopes(count))
+    return next(_slope_sets(problem.inputs[:, 0], problem.targets, [count], seed))[0][:, 0]
 
 
 def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
@@ -677,17 +684,16 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     that skip the distance rows their bounds settle and stop on a move
     relative to the gradients' size (see ``_kmeans``).  Both stages commute
     with scaling by powers of two, so (2^a x, 2^b f) gives 2^(b-a) times the
-    slopes, bit for bit, while no value underflows or overflows.  The
-    notes of the pool (skipped neighbourhoods) have no place in the returned
-    array, so each is passed to ``warnings.warn``, pointing at the caller's
-    line.
+    slopes, bit for bit, while no value underflows or overflows.  x must
+    be 2-D; the samples and the seed are checked by the :class:`FitProblem`
+    of the estimate.  The notes of the pool (skipped neighbourhoods) have no
+    place in the returned array, so each is passed to ``warnings.warn``,
+    pointing at the caller's line.
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float).reshape(-1)
-    if x.ndim != 2 or x.shape[0] != len(f):
+    if np.ndim(x) != 2:
         raise DimensionMismatchError("x must be (m, n) with one target per sample")
-    _check_seed(seed)
-    slopes, notes = next(_slope_sets(x, f, [count], seed))
+    problem = FitProblem(x, np.ravel(f), AutoSlopes(count, seed))
+    slopes, notes = next(_slope_sets(problem.inputs, problem.targets, [count], seed))
     for note in notes:
         warnings.warn(note, stacklevel=2)
     return slopes

@@ -374,46 +374,22 @@ def _in_convex_hull(point: np.ndarray, others: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(recon - point)) <= tol)
 
 
-def _reduced_generators(points: np.ndarray, tol: float) -> np.ndarray:
-    pts = np.unique(points, axis=0)
-    if len(pts) > 12:
-        raise TropicalError(
-            "exact generator reduction in dimension >= 3 is limited to 12 points"
-        )
-    keep = list(range(len(pts)))
-    for i in range(len(pts)):
-        others = [j for j in keep if j != i]
-        if len(others) >= 1 and i in keep and _in_convex_hull(pts[i], pts[others], tol):
-            keep.remove(i)
-    return pts[keep]
-
-
 def polytope_equal(P: Polytope, Q: Polytope, tol: float = 1e-9) -> bool:
     """Whether two polytopes describe the same convex body.
 
     Dimensions 1 and 2 compare canonical hull vertex lists exactly (up to
-    ``tol``).  Higher dimensions reduce both generating sets by discarding
-    points expressible as convex combinations of the rest (at most 12
-    generators each) and match the survivors.
+    ``tol``).  Higher dimensions test two-way containment: every distinct
+    generator of each polytope must be a convex combination of the other's
+    generators, reconstructed within ``tol`` (one feasibility LP per
+    generator, so any number of generators is compared).
     """
     if P.dimension != Q.dimension:
         return False
     if P.dimension <= 2:
         a, b = P.hull_vertices, Q.hull_vertices
         return a.shape == b.shape and bool(np.allclose(a, b, rtol=0.0, atol=tol))
-    a = _reduced_generators(P.generators, tol)
-    b = _reduced_generators(Q.generators, tol)
-    if a.shape != b.shape:
-        return False
-    used = np.zeros(len(b), dtype=bool)
-    for row in a:
-        dist = np.max(np.abs(b - row), axis=1)
-        dist[used] = _INF
-        j = int(np.argmin(dist))
-        if dist[j] > tol:
-            return False
-        used[j] = True
-    return True
+    a, b = np.unique(P.generators, axis=0), np.unique(Q.generators, axis=0)
+    return all(_in_convex_hull(p, b, tol) for p in a) and all(_in_convex_hull(q, a, tol) for q in b)
 
 
 def newton_polytope(p: TropicalPolynomial) -> Polytope:

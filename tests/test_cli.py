@@ -618,7 +618,14 @@ def _expected_sweep(data, counts, clodum, method, seed):
     lines = []
     for k in counts:
         try:
-            rep = fit_max_affine(FitProblem(data.features, data.target, AutoSlopes(k, seed), clodum), method)
+            problem = FitProblem(data.features, data.target, AutoSlopes(k, seed), clodum)
+        except TropicalError as exc:
+            # the CLI names its dataset in the errors of the problem, which it
+            # builds at the first k; a later k > m follows a k - 1 >= m whose
+            # fit has already failed
+            return [], f"tropalg: error: {data.provenance}: {exc}\n"
+        try:
+            rep = fit_max_affine(problem, method)
         except TropicalError as exc:
             return [], f"tropalg: error: {exc}\n"
         lines.append(f"sweep[{k}]: rms={rep.rms_error!r} linf={rep.linf_error!r}")
@@ -706,7 +713,18 @@ def test_fit_infinite_cell_is_one_error_under_every_slopes_value(clodum, tmp_pat
     path.write_text("x,y\n0.25,0.5\ninf,0.75\n0.5,0.25\n", encoding="utf-8")
     for slopes in (["--slopes", "line"], [], ["--slopes", str(tmp_path / "rows.txt")], ["--slopes", "auto:1"]):
         rc = main(["fit", str(path), "--clodum", clodum, "--out", str(tmp_path / "run")] + slopes)
-        assert _one_line_usage_error(rc, capsys) == "tropalg: error: samples must be finite\n", slopes
+        assert _one_line_usage_error(rc, capsys) == (
+            f"tropalg: error: {path}: samples must be finite: sample 1 (x = inf), f = 0.75\n"), slopes
+    assert list(tmp_path.glob("run.*")) == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--slopes", "auto:2"], ["--sweep-k", "1:2"]])
+def test_fit_sample_error_starts_with_the_dataset_path(extra, tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y,f\n0.5,0.25,1\n0.75,0.5,2\n0.25,1,inf\n1,0.5,3\n", encoding="utf-8")
+    rc = main(["fit", str(path), "--out", str(tmp_path / "run")] + extra)
+    assert _one_line_usage_error(rc, capsys) == (
+        f"tropalg: error: {path}: samples must be finite: sample 2 (x = 0.25 1.0), f = inf\n")
     assert list(tmp_path.glob("run.*")) == []
 
 
@@ -952,6 +970,14 @@ def test_eval_at_point(tmp_path, capsys):
     rc = main(["eval", str(poly), "--at", "10"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "10.0 8.0"
+
+
+def test_eval_at_negative_first_coordinate_takes_the_equals_form(tmp_path, capsys):
+    poly = tmp_path / "p.txt"
+    poly.write_text("troppoly max max-plus\n1.0 0.0 | -2.0\n0.0 1.0 | 3.0\n", encoding="utf-8")
+    rc = main(["eval", str(poly), "--at=-0.5,0.25"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "-0.5 0.25 3.25"
 
 
 def test_eval_takes_at_or_data_not_both(tmp_path, capsys, line_csv):

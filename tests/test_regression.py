@@ -32,7 +32,15 @@ from tropalg import (
     max_softmin,
     solve,
 )
-from tropalg.regression import _fit_terms, _gradient_pool, _gradients, _jenks_breaks, _kmeans, _sweep_fits
+from tropalg.regression import (
+    _coordinate_slopes,
+    _fit_terms,
+    _gradient_pool,
+    _gradients,
+    _jenks_breaks,
+    _kmeans,
+    _sweep_fits,
+)
 
 INF = float("inf")
 
@@ -112,8 +120,10 @@ def test_line_mmae_requires_maxplus():
 @pytest.mark.parametrize("target", [INF, -INF])
 def test_line_infinite_target_is_refused(target):
     # inside the max-plus carrier, but a fit needs finite targets
-    with pytest.raises(TropicalError, match="^target values must be finite$"):
+    message = rf"^samples must be finite: sample 1 \(x = 1\.0\), f = {target!r}$"
+    with pytest.raises(TropicalError, match=message) as info:
         fit_line([0.0, 1.0, 2.0], [0.0, target, 1.0], MAX_PLUS)
+    assert type(info.value) is TropicalError
 
 
 def test_plane_exact_recovery():
@@ -253,24 +263,56 @@ def test_fit_carrier_error_names_the_first_sample_outside():
 
 
 def test_fit_carrier_error_names_the_first_nan_sample():
-    # the message is about a NaN, so it names the NaN, not the earlier value
-    # outside the carrier, whether the NaN is in a design row or a target
-    with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: sample 1 \(x = nan\), f = 0\.5$"):
-        fit_line([-1.0, np.nan], [0.5, 0.5], MAX_MIN)
-    with pytest.raises(CarrierError, match=r"^NaN is not .* max-min carrier: sample 1 \(x = 0\.5\), f = nan$"):
-        fit_line([-1.0, 0.5], [0.5, np.nan], MAX_MIN)
+    # the samples are checked before the carrier, so the NaN is named, not
+    # the earlier value outside the carrier, whether it is in x or a target
+    for x, f, text in (([-1.0, np.nan], [0.5, 0.5], r"x = nan\), f = 0\.5"),
+                       ([-1.0, 0.5], [0.5, np.nan], r"x = 0\.5\), f = nan")):
+        with pytest.raises(TropicalError, match=rf"^samples must be finite: sample 1 \({text}$") as info:
+            fit_line(x, f, MAX_MIN)
+        assert type(info.value) is TropicalError
 
 
 @pytest.mark.parametrize("clodum, x, err, match", [
-    (MAX_PLUS, [0.0, np.nan], CarrierError, "NaN is not an element of the max-plus carrier"),
+    (MAX_PLUS, [0.0, np.nan], TropicalError, r"^samples must be finite: sample 1 \(x = nan"),
     (MAX_TIMES, [1.0, -0.5], CarrierError, "max-times carrier"),
-    (MAX_PLUS, [0.0, INF], TropicalError, "evaluation points must be finite"),
+    (MAX_PLUS, [0.0, INF], TropicalError, r"^samples must be finite: sample 1 \(x = inf"),
 ], ids=["nan", "negative-max-times", "infinite"])
 def test_fit_sample_errors(clodum, x, err, match):
     for fit, xs in ((fit_line, x), (fit_plane, np.column_stack([x, [1.0, 2.0]]))):
         with pytest.raises(TropicalError, match=match) as info:
             fit(xs, [1.0, 2.0], clodum)
         assert type(info.value) is err
+
+
+def _entrances(x, f):
+    """Every public way into a fit or a slope estimate of the samples (x, f),
+    x being (m, 1) or (m, 2), as callables."""
+    given = GivenSlopes(_coordinate_slopes(x.shape[1]))
+    calls = [lambda: fit_max_affine(FitProblem(x, f, given)),
+             lambda: fit_max_affine(FitProblem(x, f, given, MAX_MIN), "mmae"),
+             lambda: fit_max_affine(FitProblem(x, f, AutoSlopes(2)), "mmae")]
+    if x.shape[1] == 1:
+        return calls + [lambda: fit_line(x[:, 0], f), lambda: estimate_slopes_1d(x[:, 0], f, 2)]
+    return calls + [lambda: fit_plane(x, f), lambda: estimate_slopes_nd(x, f, 2)]
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("where", ["x", "f"])
+@pytest.mark.parametrize("bad", [np.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("i", [0, 7, 19])
+def test_every_entrance_names_the_first_non_finite_sample(dims, where, bad, i):
+    # one check of the samples, in FitProblem: each fit and each estimator
+    # raises the same error naming sample i, whatever clodum or method
+    x = np.linspace(-1.0, 1.0, 20 * dims).reshape(20, dims)
+    f = np.square(x).sum(axis=1)
+    (x[:, 0] if where == "x" else f)[i] = bad
+    (x[:, 0] if where == "x" else f)[i + 1:] = bad  # later samples are not named
+    coords = " ".join(repr(float(v)) for v in x[i])
+    message = f"samples must be finite: sample {i} (x = {coords}), f = {float(f[i])!r}"
+    for call in _entrances(x, f):
+        with pytest.raises(TropicalError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (TropicalError, message)
 
 
 # ---------------------------------------------------------------------------

@@ -445,8 +445,18 @@ def test_polytope_equal_3d_reduction():
     assert polytope_equal(Polytope(cube), Polytope(with_center))
     shifted = Polytope(cube + 0.25)
     assert not polytope_equal(Polytope(cube), shifted)
-    with pytest.raises(TropicalError):
-        polytope_equal(Polytope(np.random.default_rng(0).normal(size=(13, 3))), Polytope(cube))
+    # more than 12 generators: the join and Minkowski laws of 3-D Newton
+    # polytopes, by two-way containment
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        p, q = (TropicalPolynomial(rng.integers(-3, 4, (k, 3)).astype(float), rng.integers(-4, 5, k).astype(float))
+                for k in (6, 7))
+        P, Q = newton_polytope(p), newton_polytope(q)
+        join, mink = polytope_join(P, Q), polytope_minkowski_sum(P, Q)
+        assert len(mink.generators) == 42
+        assert polytope_equal(newton_polytope(tropical_max(p, q)), join)
+        assert polytope_equal(newton_polytope(tropical_sum(p, q)), mink)
+        assert not polytope_equal(join, mink)
 
 
 def test_newton_polytope_needs_max_orientation():

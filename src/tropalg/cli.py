@@ -462,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a polynomial file at points")
     p_eval.add_argument("poly")
     p_eval.add_argument("--data", default=None, help="CSV of points, optionally with a target column last")
-    p_eval.add_argument("--at", default=None, help="comma-separated coordinates of one point; "
-                        "write --at=-0.5,0.25 when the first is negative")
+    p_eval.add_argument("--at", default=None, help="comma-separated coordinates of one point")
     p_eval.add_argument("--target", default=None)
     p_eval.add_argument("--no-header", action="store_true")
     p_eval.add_argument("--out", default=None)
@@ -480,8 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _glue_at(argv) -> list[str]:
+    """argv with each ``--at V`` whose V starts with one dash written
+    ``--at=V``: argparse reads such a V as an option unless it is one bare
+    negative number, as in ``--at -0.5,0.25``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--at" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--at={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _PARSER.parse_args(_glue_at(sys.argv[1:] if argv is None else argv))
     # looked up at each call, not bound into the parser at import, so a
     # wrapper later set on this module (a tracer, a test double) is what runs
     run = {"fit": run_fit, "solve": run_solve, "eval": run_eval, "polytope": run_polytope}[args.command]

@@ -43,7 +43,7 @@ import numpy as np
 from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
 from .tropgeom import TropicalPolynomial, _check_slopes, _term_design
-from .wlattice import DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
+from .wlattice import _SLAB_ELEMS, DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
 
 __all__ = [
     "GivenSlopes",
@@ -672,6 +672,214 @@ def _gradients(offsets: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
     return good, beta[..., 0]
 
 
+def _grid_shape(span: np.ndarray, cells: float) -> np.ndarray:
+    """Cells per coordinate of a grid of about ``cells`` cubes over a box of
+    sides ``span``.  A side shorter than the cube, zero included, gets one
+    cell and the cube is sized again over the other sides, so no coordinate
+    has more cells than its side holds cubes and the grid has at most
+    ``cells`` of them."""
+    shape = np.ones(len(span), dtype=np.intp)
+    live = span > 0
+    while live.any():
+        side = np.exp((np.log(span[live]).sum() - np.log(cells)) / live.sum())
+        narrow = live & (span < side)
+        if not narrow.any():
+            shape[live] = span[live] // side
+            break
+        live &= ~narrow
+    return shape
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, cand: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k candidates nearest to each query, in (squared distance, index)
+    order, and the k-th squared distance of each.
+
+    ``a`` (n, rows, w) holds the candidates' coordinates, ``b`` (n, rows, 1)
+    the queries' and ``cand`` (rows, w) the candidates' indices, each
+    broadcastable; w > k.  Squared distances sum the coordinates in order
+    (``_sq_sum``).  A row whose k + 1 smallest distances are not all distinct
+    is ordered by a full sort on (distance, index)."""
+    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    d2 = _sq_sum(a, b, np.empty(shape), np.empty(shape))
+    # flat positions of the k + 1 smallest of each row, the largest last
+    first = np.argpartition(d2, k, axis=1)[:, :k + 1]
+    first += np.arange(0, d2.size, shape[1])[:, None]
+    order = np.argsort(d2.take(first[:, :k]), axis=1)
+    first[:, :k] = np.take_along_axis(first, order, axis=1)
+    dist = d2.take(first)
+    tie = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+    near = first[:, :k] % shape[1]
+    if tie.any():
+        near[tie] = np.lexsort((np.broadcast_to(cand, shape)[tie], d2[tie]), axis=1)[:, :k]
+    return np.take_along_axis(cand, near, axis=1), dist[:, k - 1]
+
+
+class _CellGrid:
+    """A uniform grid over m points in (-1, 1)^n for their k nearest
+    neighbours (the cell method of Bentley, Weide & Yao 1980).
+
+    The grid has about 2m/k cubic cells (``_grid_shape``) over the box of
+    the 1st to 99th percentile of each coordinate.  Cell j of a coordinate
+    spans [F_j, F_{j+1}) between computed faces, with F_0 = -inf and
+    F_G = +inf, so the outer cells take the points beyond the box, and a
+    point's cell is found by comparing it with the faces, so membership is
+    exact.  Points are kept in cell order, each cell in index order.
+    """
+
+    def __init__(self, xs: np.ndarray, k: int) -> None:
+        m, n = xs.shape
+        self.k = k
+        self.cols = np.ascontiguousarray(xs.T)
+        # the extra column, at index m and +inf, pads candidate rows
+        self.padded = np.concatenate([self.cols, np.full((n, 1), _INF)], axis=1)
+        # a few far points, left to the outer cells, do not stretch the cells
+        lo, hi = np.partition(xs, (m // 100, m - 1 - m // 100), axis=0)[[m // 100, m - 1 - m // 100]]
+        span = hi - lo
+        self.shape = _grid_shape(span, 2.0 * m / k)
+        self.coord = np.empty((n, m), dtype=np.intp)
+        self.faces = []
+        for j, g in enumerate(self.shape):
+            inner = lo[j] + span[j] / g * np.arange(1, g)
+            self.coord[j] = np.searchsorted(inner, xs[:, j], side="right")
+            self.faces.append(np.concatenate([[-_INF], inner, [_INF]]))
+        self.stride = np.ones(n, dtype=np.intp)
+        self.stride[:-1] = np.cumprod(self.shape[:0:-1])[::-1]
+        self.cell = self.stride @ self.coord
+        self.order = np.argsort(self.cell, kind="stable")
+        self.starts = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.cell, minlength=len(self.starts) - 1), out=self.starts[1:])
+
+    def _runs(self, coord: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """The [begin, end) positions in ``order`` of the points of each
+        cell's block, the cells within ``radius`` of it in every coordinate,
+        one run along the last coordinate per row of the block; (cells, runs)
+        each, runs off the grid empty."""
+        reach = np.minimum(radius, self.shape[:-1] - 1)
+        width = 2 * reach + 1
+        off = np.indices(tuple(width)).reshape(len(reach), int(np.prod(width))) - reach[:, None]
+        inside = np.ones((coord.shape[1], off.shape[1]), dtype=bool)
+        for j in range(len(reach)):
+            at = coord[j][:, None] + off[j]
+            inside &= (at >= 0) & (at < self.shape[j])
+        base = (self.stride[:-1] @ coord[:-1])[:, None] + self.stride[:-1] @ off
+        first = np.maximum(coord[-1] - radius, 0)[:, None]
+        last = np.minimum(coord[-1] + radius, self.shape[-1] - 1)[:, None]
+        # a run off the grid reads starts[0] twice, so it is empty
+        begin = self.starts[np.where(inside, base + first, 0)]
+        end = self.starts[np.where(inside, base + last + 1, 0)]
+        return begin, end
+
+    def nearest(self, rows: np.ndarray, radius: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write into ``out`` the neighbours of the ``rows`` it certifies from
+        their cells' blocks of ``radius``; return the rows it does not, and
+        the k-th squared distance each found (inf where it found none).
+
+        A row's candidates are the points of its cell's block, taken from a
+        table of the block of each cell in the slab.  A row is certified when
+        its k-th squared distance is below the computed square of its margin,
+        the computed distance to the block's inner faces: a point outside the
+        block lies beyond a face in some coordinate, and rounding is
+        monotone, so that coordinate's computed square, and so the point's
+        computed squared distance, is at least the margin's.  Rows run in slabs of at most ``_SLAB_ELEMS``
+        candidates or runs, grouped by the size of their block.  A row whose
+        block holds every point is returned, as comparing it with every point
+        needs no table, and so is every row when a block has more runs than
+        there are points.
+        """
+        k, n = self.k, len(self.cols)
+        m = self.cols.shape[1]
+        runs = int(np.prod(2 * np.minimum(radius, self.shape[:-1] - 1) + 1))
+        if runs > m:
+            return rows, np.full(len(rows), _INF)
+        cells, of_row = np.unique(self.cell[rows], return_inverse=True)
+        coord = np.array(np.unravel_index(cells, self.shape), dtype=np.intp).reshape(n, -1)
+        size = np.empty(len(cells), dtype=np.intp)
+        step = max(1, _SLAB_ELEMS // runs)
+        for s in range(0, len(cells), step):
+            begin, end = self._runs(coord[:, s:s + step], radius)
+            size[s:s + step] = (end - begin).sum(axis=1)
+        by_size = np.argsort(size[of_row] * len(cells) + of_row, kind="stable")
+        rows, of_row = rows[by_size], of_row[by_size]
+        row_size = size[of_row]
+        whole = int(np.searchsorted(row_size, m))
+        left, far = [rows[whole:]], [np.full(len(rows) - whole, _INF)]
+        s = 0
+        while s < whole:
+            w = max(row_size[min(s + _SLAB_ELEMS // max(row_size[s], k + 1, runs), whole) - 1], k + 1)
+            e = min(s + max(1, _SLAB_ELEMS // max(w, runs)), whole)
+            slab, slab_cells = rows[s:e], of_row[s:e]
+            new = np.r_[True, slab_cells[1:] != slab_cells[:-1]]
+            own, local = slab_cells[new], np.cumsum(new) - 1
+            begin, end = self._runs(coord[:, own], radius)
+            lengths = (end - begin).ravel()
+            at = np.repeat(begin.ravel() - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+            table_row = np.repeat(np.arange(len(own)), size[own])
+            table = np.full((len(own), w), m, dtype=np.intp)
+            table[table_row, np.arange(len(at)) - (np.cumsum(size[own]) - size[own])[table_row]] = self.order[at]
+            cand = table.take(local, axis=0)
+            near, kth = _nearest(self.padded.take(cand, axis=1), self.cols[:, slab, None], cand, k)
+            margin = np.full(len(slab), _INF)
+            for j, faces in enumerate(self.faces):
+                x, c = self.cols[j, slab], self.coord[j, slab]
+                np.minimum(margin, x - faces[np.maximum(c - radius, 0)], out=margin)
+                np.minimum(margin, faces[np.minimum(c + radius + 1, len(faces) - 1)] - x, out=margin)
+            sure = kth < np.square(margin)
+            out[slab[sure]] = near[sure]
+            left.append(slab[~sure])
+            far.append(kth[~sure])
+            s = e
+        return np.concatenate(left), np.concatenate(far)
+
+    def reach(self, rows: np.ndarray, kth: np.ndarray) -> np.ndarray:
+        """The block radius, in cells, that holds every point within
+        sqrt(``kth``) of each row in every coordinate, widened by a relative
+        2^-30 so that ``nearest`` can certify the row from it."""
+        half = np.sqrt(kth) * (1.0 + 2.0**-30) + _BOUND_TINY
+        radius = np.zeros(len(rows), dtype=np.intp)
+        for j, faces in enumerate(self.faces):
+            x, c = self.cols[j, rows], self.coord[j, rows]
+            np.maximum(radius, c - np.searchsorted(faces[1:-1], x - half, side="right"), out=radius)
+            np.maximum(radius, np.searchsorted(faces[1:-1], x + half, side="right") - c, out=radius)
+        return radius
+
+
+def _knn(xs: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest neighbours (m, k) of each of the m points ``xs`` in
+    (-1, 1)^n among all of them, k <= m, in order of (squared distance
+    summed over the coordinates in order, index).
+
+    Every row is exact.  Rows come from the blocks of 3^n cells of a
+    ``_CellGrid``.  A row it cannot certify is redone from a wider block:
+    one reaching past the k-th distance its last block gave, or twice as
+    wide when that block held fewer than k points, with radii rounded up to
+    powers of two so that a few serve every row.  A row whose block would
+    cover the grid is compared with every point instead, in slabs of
+    ``_SLAB_ELEMS`` distances.
+    """
+    m = len(xs)
+    grid = _CellGrid(xs, k)
+    out = np.empty((m, k), dtype=np.intp)
+    rows, radius = np.arange(m), np.ones(m, dtype=np.intp)
+    brute = []
+    while len(rows):
+        parts = [(r, *grid.nearest(rows[radius == r], int(r), out)) for r in np.unique(radius)]
+        was = np.concatenate([np.full(len(left), r) for r, left, _ in parts])
+        rows = np.concatenate([left for _, left, _ in parts])
+        kth = np.concatenate([d for _, _, d in parts])
+        kth[np.isinf(kth)] = 0.0  # a block short of k points is doubled
+        radius = 2 ** np.ceil(np.log2(np.maximum(2 * was, grid.reach(rows, kth)))).astype(np.intp)
+        whole = radius >= grid.shape.max() - 1
+        brute.append(rows[whole])
+        rows, radius = rows[~whole], radius[~whole]
+    rows = np.concatenate(brute)
+    every = np.arange(m + 1)[None, :]
+    step = max(1, _SLAB_ELEMS // (m + 1))
+    for s in range(0, len(rows), step):
+        slab = rows[s:s + step]
+        out[slab] = _nearest(grid.padded[:, None, :], grid.cols[:, slab, None], every, k)[0]
+    return out
+
+
 def _sample_text(x: np.ndarray, i: int) -> str:
     return f"sample {i} (x = {' '.join(repr(float(v)) for v in x[i])})"
 
@@ -704,11 +912,12 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     and the notes of the pool.
 
     x is first scaled by 2^shift into (-1, 1), with shift = -frexp(max|x|)[1],
-    which is exact: the tree's squared distances cannot overflow, and x times
-    any power of two gives the same scaled coordinates.  Each sample's
-    gradient comes from a least-squares affine fit over its max(n+2, 8)
-    nearest neighbours, solved from the centred normal equations of the
-    neighbourhood (see ``_gradients``), and is scaled back by 2^shift.
+    which is exact: squared distances cannot overflow, and x times any power
+    of two gives the same scaled coordinates.  Each sample's gradient comes
+    from a least-squares affine fit over its max(n+2, 8) nearest neighbours,
+    exact and in order of (squared distance, index) from the cell grid of
+    ``_knn``, solved from the centred normal equations of the neighbourhood
+    (see ``_gradients``), and is scaled back by 2^shift.
     Neighbourhoods whose Gram matrix fails the rank rule lambda_min >
     2^-40 lambda_max are skipped, and a note says how many.  Every step
     commutes with scaling by powers of two, so fitting (2^a x, 2^b f) gives
@@ -716,13 +925,11 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     overflows.  Gradients that overflow or are too large for k-means to sum
     their squared distances raise :class:`TropicalError` naming the sample.
     """
-    from scipy.spatial import cKDTree  # heavy import, needed only here
-
     m, n = x.shape
     k_nn = min(max(n + 2, 8), m)
     shift = -int(np.frexp(np.abs(x).max())[1])
     xs = np.ldexp(x, shift)
-    idx = cKDTree(xs).query(xs, k=k_nn)[1]
+    idx = _knn(xs, k_nn)
     with np.errstate(over="ignore", invalid="ignore"):
         good, beta = _gradients(xs[idx] - xs[:, None, :], f[idx])
         # the gradient in x is the gradient in x * 2^shift, times 2^shift

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the hull oracle uses
 edge detection instead of the monotone chain, the product, term-table and
-natural-breaks oracles use naive loops instead of vectorized reductions, and
-the gradient oracle solves one neighbourhood at a time instead of a batch.  The
+natural-breaks oracles use naive loops instead of vectorized reductions, the
+gradient oracle solves one neighbourhood at a time instead of a batch, and the
+k-NN oracle compares every pair of points instead of searching cells.  The
 tensor matrix product, the per-sample signal loops, the whole-table polynomial
 evaluation and matrix-vector products, the always-NaN-filling clodum kernels,
 the mask-based k-means, the ``matrix_rank`` + ``pinv`` gradient stage, the
@@ -294,6 +295,22 @@ def kmeans_masks(points, k, rng):
         if shift <= tol:
             break
     return centers
+
+
+def knn_brute(x, k, slab=256):
+    """The k nearest neighbours of each row of ``x`` among all rows, in
+    order of (squared distance, index): a slab of rows is compared with every
+    row, the squares of the coordinate differences summed in coordinate
+    order, and each row's distances sorted stably."""
+    m, n = x.shape
+    out = np.empty((m, k), dtype=np.intp)
+    for s in range(0, m, slab):
+        diff = x[s:s + slab, None, :] - x[None, :, :]
+        d2 = diff[..., 0] ** 2
+        for j in range(1, n):
+            d2 = d2 + diff[..., j] ** 2
+        out[s:s + slab] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def gradients_per_neighbourhood(offsets, values):

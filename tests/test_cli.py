@@ -980,6 +980,23 @@ def test_eval_at_negative_first_coordinate_takes_the_equals_form(tmp_path, capsy
     assert capsys.readouterr().out.strip() == "-0.5 0.25 3.25"
 
 
+@pytest.mark.parametrize("at", ["-0.5,0.25", "-1", "-inf,2", "-x"])
+def test_eval_at_with_a_space_equals_the_equals_form(tmp_path, capsys, at):
+    # a value after a space that starts with a dash is the point, not an
+    # option: the same exit, output and one-line error as --at=<value>
+    poly = tmp_path / "p.txt"
+    poly.write_text("troppoly max max-plus\n1.0 0.0 | -2.0\n0.0 1.0 | 3.0\n", encoding="utf-8")
+    runs = []
+    for argv in (["--at", at], [f"--at={at}"]):
+        rc = main(["eval", str(poly), *argv])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    if at == "-0.5,0.25":
+        assert runs[0] == (0, "-0.5 0.25 3.25\n", "")
+    else:
+        assert runs[0][0] == 2 and runs[0][1] == "" and runs[0][2].count("\n") == 1
+
+
 def test_eval_takes_at_or_data_not_both(tmp_path, capsys, line_csv):
     poly = tmp_path / "p.txt"
     poly.write_text(_LINE_POLY, encoding="utf-8")
@@ -1201,18 +1218,24 @@ def test_fit_half_circle_with_slope_file(tmp_path, capsys):
     assert linf == pytest.approx(0.12, abs=0.02)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize (polytope comparison in dimension >= 3) and scipy.spatial
-    # (n-D slope estimation) load on first use, not at start-up
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # scipy.optimize (polytope comparison in dimension >= 3) loads on first
+    # use; importing the CLI, a 2-D auto:K fit and a sweep load no scipy module
     import tropalg
 
     src = str(Path(tropalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, tropalg.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.spatial') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    data = _duplicated_points_csv(tmp_path)
+    code = ("import contextlib, io, sys, tropalg.cli\n"
+            "def loaded(): return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [tropalg.cli.main(['fit', sys.argv[1], '--slopes', 'auto:4', '--out', sys.argv[2]]),\n"
+            "             tropalg.cli.main(['fit', sys.argv[1], '--sweep-k', '1:3'])]\n"
+            "print(codes, loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "run")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "[0, 0] []"]
 
 
 def test_package_exports_each_modules_public_names():
@@ -1490,8 +1513,6 @@ def _no_catch_warnings(*args, **kwargs):
 def test_readers_and_commands_never_swap_the_warning_filters(monkeypatch, tmp_path, capsys):
     # every reader, on regular and blank-led bodies, and every command case
     # runs with warnings.catch_warnings refused
-    import scipy.spatial  # noqa: F401  (its import is not under test)
-
     files = {
         "A.txt": "tropmat 3 2 max-plus\n1 -inf\n\n \t\n3 -inf\n0 -inf\n",
         "T.txt": "tropmat 2 2 max-times\n0 1\n0 2\n",

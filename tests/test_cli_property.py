@@ -111,6 +111,7 @@ _EVAL = _argv(
     "eval",
     st.sampled_from(["p.txt", "q.txt", "r.txt"]).map(lambda n: [f"{{dir}}/{n}"]),
     st.one_of(_opt("at", ["1", "-1,2", "0.5,0.5", "a", "nan", "1e400"]),
+              st.sampled_from(["-1,2", "-0.5", "-inf,0", "-x"]).map(lambda v: ["--at", v]),
               _opt("data", ["{dir}/line.csv", "{dir}/plane.csv", "{dir}/unit.csv"])),
     _opt("target", ["x", "f", "nope"]),
     _flag("no-header"),

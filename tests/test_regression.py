@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tropalg.regression
-from oracles import gradients_per_neighbourhood, gradients_rank_pinv, jenks_breaks_dp, kmeans_masks
+from oracles import gradients_per_neighbourhood, gradients_rank_pinv, jenks_breaks_dp, kmeans_masks, knn_brute
 from tropalg import (
     MAX_MIN,
     MAX_PLUS,
@@ -39,6 +39,7 @@ from tropalg.regression import (
     _gradients,
     _jenks_breaks,
     _kmeans,
+    _knn,
     _sweep_fits,
 )
 
@@ -483,6 +484,48 @@ def test_estimate_slopes_nd_degenerate_neighbourhoods():
     f = x[:, 0] * 2
     with pytest.raises(TropicalError):
         estimate_slopes_nd(x, f, 2, seed=0)
+
+
+def _knn_points(kind, m, n, rng):
+    """m points in n-D of one kind, scaled by a power of two into (-1, 1) as
+    the gradient pool scales them."""
+    x = rng.uniform(-1, 1, (m, n))
+    if kind == "copies":  # as in CI's dup.csv
+        x[:12] = x[0]
+    elif kind == "lattice":  # every distance ties with others
+        side = int(np.ceil(m ** (1 / n)))
+        x = np.array(np.unravel_index(np.arange(m), (side,) * n), dtype=float).T
+    elif kind == "collinear":
+        x = x[:, :1] * rng.uniform(-1, 1, n) + rng.uniform(-1, 1, n)
+    elif kind == "constant":  # one coordinate of zero span
+        x[:, 0] = 0.3
+    elif kind == "one-cell":  # all but the last point in one cell
+        x = 0.25 + x * 1e-6
+        x[-1] = -0.9
+    elif kind == "normal":  # dense middle, sparse tails
+        x = rng.normal(size=(m, n))
+    elif kind in ("2^60", "2^-60"):
+        x = np.ldexp(x, int(kind[2:]))
+    return np.ldexp(x, -int(np.frexp(np.abs(x).max())[1]))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "copies", "lattice", "collinear", "constant", "one-cell",
+                                  "normal", "2^60", "2^-60"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_knn_equals_brute_force_and_tree(n, kind):
+    # exact neighbours in (squared distance, index) order, at m = k, where no
+    # candidate is left over, up to 2000 points; where no two distances from
+    # a point tie, they are also cKDTree's
+    from scipy.spatial import cKDTree
+
+    k = max(n + 2, 8)
+    rng = np.random.default_rng(100 * n + len(kind))
+    for m in (k, k + 1, 3 * k, 2000):
+        xs = _knn_points(kind, m, n, rng)
+        got = _knn(xs, k)
+        assert np.array_equal(got, knn_brute(xs, k)), m
+        if kind not in ("copies", "lattice") and not (kind == "constant" and n == 1):
+            assert np.array_equal(got, cKDTree(xs).query(xs, k=k)[1]), m
 
 
 def _centred_offsets(rng, count, rows, cols, smallest):

@@ -726,9 +726,10 @@ class _CellGrid:
     exact.  Points are kept in cell order, each cell in index order.
     """
 
-    def __init__(self, xs: np.ndarray, k: int) -> None:
+    def __init__(self, xs: np.ndarray, k: int, budget: float) -> None:
         m, n = xs.shape
         self.k = k
+        self.budget = budget  # candidates left to compare
         self.cols = np.ascontiguousarray(xs.T)
         # the extra column, at index m and +inf, pads candidate rows
         self.padded = np.concatenate([self.cols, np.full((n, 1), _INF)], axis=1)
@@ -769,10 +770,11 @@ class _CellGrid:
         end = self.starts[np.where(inside, base + last + 1, 0)]
         return begin, end
 
-    def nearest(self, rows: np.ndarray, radius: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def nearest(self, rows: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray | None:
         """Write into ``out`` the neighbours of the ``rows`` it certifies from
-        their cells' blocks of ``radius``; return the rows it does not, and
-        the k-th squared distance each found (inf where it found none).
+        their cells' blocks of ``radius`` and return the rows it does not;
+        None, with nothing compared, when the blocks hold more candidates
+        than are left of ``budget``.
 
         A row's candidates are the points of its cell's block, taken from a
         table of the block of each cell in the slab.  A row is certified when
@@ -780,17 +782,14 @@ class _CellGrid:
         the computed distance to the block's inner faces: a point outside the
         block lies beyond a face in some coordinate, and rounding is
         monotone, so that coordinate's computed square, and so the point's
-        computed squared distance, is at least the margin's.  Rows run in slabs of at most ``_SLAB_ELEMS``
-        candidates or runs, grouped by the size of their block.  A row whose
-        block holds every point is returned, as comparing it with every point
-        needs no table, and so is every row when a block has more runs than
-        there are points.
+        computed squared distance, is at least the margin's.  A block that
+        covers the grid has no inner faces, so its rows are all certified.
+        Rows run in slabs of at most ``_SLAB_ELEMS`` candidates or runs, or
+        one row, grouped by the size of their block.
         """
         k, n = self.k, len(self.cols)
         m = self.cols.shape[1]
         runs = int(np.prod(2 * np.minimum(radius, self.shape[:-1] - 1) + 1))
-        if runs > m:
-            return rows, np.full(len(rows), _INF)
         cells, of_row = np.unique(self.cell[rows], return_inverse=True)
         coord = np.array(np.unravel_index(cells, self.shape), dtype=np.intp).reshape(n, -1)
         size = np.empty(len(cells), dtype=np.intp)
@@ -801,12 +800,17 @@ class _CellGrid:
         by_size = np.argsort(size[of_row] * len(cells) + of_row, kind="stable")
         rows, of_row = rows[by_size], of_row[by_size]
         row_size = size[of_row]
-        whole = int(np.searchsorted(row_size, m))
-        left, far = [rows[whole:]], [np.full(len(rows) - whole, _INF)]
+        self.budget -= int(row_size.sum())
+        if self.budget < 0:
+            return None
+        left = []
         s = 0
-        while s < whole:
-            w = max(row_size[min(s + _SLAB_ELEMS // max(row_size[s], k + 1, runs), whole) - 1], k + 1)
-            e = min(s + max(1, _SLAB_ELEMS // max(w, runs)), whole)
+        while s < len(rows):
+            # rows are in ascending block size: the slab is padded to the
+            # size of its last row, which the first row's share bounds
+            last = min(s + max(1, _SLAB_ELEMS // max(row_size[s], k + 1, runs)), len(rows))
+            w = max(row_size[last - 1], k + 1)
+            e = min(s + max(1, _SLAB_ELEMS // max(w, runs)), len(rows))
             slab, slab_cells = rows[s:e], of_row[s:e]
             new = np.r_[True, slab_cells[1:] != slab_cells[:-1]]
             own, local = slab_cells[new], np.cumsum(new) - 1
@@ -826,57 +830,39 @@ class _CellGrid:
             sure = kth < np.square(margin)
             out[slab[sure]] = near[sure]
             left.append(slab[~sure])
-            far.append(kth[~sure])
             s = e
-        return np.concatenate(left), np.concatenate(far)
-
-    def reach(self, rows: np.ndarray, kth: np.ndarray) -> np.ndarray:
-        """The block radius, in cells, that holds every point within
-        sqrt(``kth``) of each row in every coordinate, widened by a relative
-        2^-30 so that ``nearest`` can certify the row from it."""
-        half = np.sqrt(kth) * (1.0 + 2.0**-30) + _BOUND_TINY
-        radius = np.zeros(len(rows), dtype=np.intp)
-        for j, faces in enumerate(self.faces):
-            x, c = self.cols[j, rows], self.coord[j, rows]
-            np.maximum(radius, c - np.searchsorted(faces[1:-1], x - half, side="right"), out=radius)
-            np.maximum(radius, np.searchsorted(faces[1:-1], x + half, side="right") - c, out=radius)
-        return radius
+        return np.concatenate(left)
 
 
-def _knn(xs: np.ndarray, k: int) -> np.ndarray:
+# 2-D samples take their neighbours from the cell grid while its passes
+# compare at most 6k candidates per sample in all, or one slab's worth for
+# small fits; uniform samples in a box or a disc need 4.5k-5.5k.  Less even
+# samples (normal or heavy-tailed spreads, tight clusters, correlated
+# coordinates), and samples with n >= 3, take them from scipy's k-d tree,
+# which was faster on each such input measured.
+_GRID_PAIRS = 6
+
+
+def _knn(xs: np.ndarray, k: int, budget: float = _INF) -> np.ndarray | None:
     """The k nearest neighbours (m, k) of each of the m points ``xs`` in
     (-1, 1)^n among all of them, k <= m, in order of (squared distance
-    summed over the coordinates in order, index).
+    summed over the coordinates in order, index); None when that takes more
+    than ``budget`` candidates.
 
     Every row is exact.  Rows come from the blocks of 3^n cells of a
-    ``_CellGrid``.  A row it cannot certify is redone from a wider block:
-    one reaching past the k-th distance its last block gave, or twice as
-    wide when that block held fewer than k points, with radii rounded up to
-    powers of two so that a few serve every row.  A row whose block would
-    cover the grid is compared with every point instead, in slabs of
-    ``_SLAB_ELEMS`` distances.
+    ``_CellGrid``; the rows it cannot certify are redone from blocks twice
+    as wide, until a block covers the grid.  Each pass counts its
+    candidates before it compares any, so giving up costs only the grid and
+    the counts.
     """
-    m = len(xs)
-    grid = _CellGrid(xs, k)
-    out = np.empty((m, k), dtype=np.intp)
-    rows, radius = np.arange(m), np.ones(m, dtype=np.intp)
-    brute = []
+    grid = _CellGrid(xs, k, budget)
+    out = np.empty((len(xs), k), dtype=np.intp)
+    rows, radius = np.arange(len(xs)), 1
     while len(rows):
-        parts = [(r, *grid.nearest(rows[radius == r], int(r), out)) for r in np.unique(radius)]
-        was = np.concatenate([np.full(len(left), r) for r, left, _ in parts])
-        rows = np.concatenate([left for _, left, _ in parts])
-        kth = np.concatenate([d for _, _, d in parts])
-        kth[np.isinf(kth)] = 0.0  # a block short of k points is doubled
-        radius = 2 ** np.ceil(np.log2(np.maximum(2 * was, grid.reach(rows, kth)))).astype(np.intp)
-        whole = radius >= grid.shape.max() - 1
-        brute.append(rows[whole])
-        rows, radius = rows[~whole], radius[~whole]
-    rows = np.concatenate(brute)
-    every = np.arange(m + 1)[None, :]
-    step = max(1, _SLAB_ELEMS // (m + 1))
-    for s in range(0, len(rows), step):
-        slab = rows[s:s + step]
-        out[slab] = _nearest(grid.padded[:, None, :], grid.cols[:, slab, None], every, k)[0]
+        rows = grid.nearest(rows, radius, out)
+        if rows is None:
+            return None
+        radius *= 2
     return out
 
 
@@ -915,9 +901,11 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     which is exact: squared distances cannot overflow, and x times any power
     of two gives the same scaled coordinates.  Each sample's gradient comes
     from a least-squares affine fit over its max(n+2, 8) nearest neighbours,
-    exact and in order of (squared distance, index) from the cell grid of
-    ``_knn``, solved from the centred normal equations of the neighbourhood
-    (see ``_gradients``), and is scaled back by 2^shift.
+    solved from the centred normal equations of the neighbourhood (see
+    ``_gradients``), and is scaled back by 2^shift.  The neighbours of 2-D
+    samples that ``_knn`` serves within its budget (``_GRID_PAIRS``) are
+    exact and in order of (squared distance, index); the others come from
+    scipy's ``cKDTree``, whose order among equal distances is its own.
     Neighbourhoods whose Gram matrix fails the rank rule lambda_min >
     2^-40 lambda_max are skipped, and a note says how many.  Every step
     commutes with scaling by powers of two, so fitting (2^a x, 2^b f) gives
@@ -929,7 +917,11 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     k_nn = min(max(n + 2, 8), m)
     shift = -int(np.frexp(np.abs(x).max())[1])
     xs = np.ldexp(x, shift)
-    idx = _knn(xs, k_nn)
+    idx = _knn(xs, k_nn, max(_GRID_PAIRS * k_nn * m, _SLAB_ELEMS)) if n == 2 else None
+    if idx is None:
+        from scipy.spatial import cKDTree  # heavy import, needed only here
+
+        idx = cKDTree(xs).query(xs, k=k_nn)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         good, beta = _gradients(xs[idx] - xs[:, None, :], f[idx])
         # the gradient in x is the gradient in x * 2^shift, times 2^shift

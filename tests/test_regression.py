@@ -528,6 +528,62 @@ def test_knn_equals_brute_force_and_tree(n, kind):
             assert np.array_equal(got, cKDTree(xs).query(xs, k=k)[1]), m
 
 
+@pytest.mark.parametrize("lift", [None, 0, 1])
+def test_knn_leaves_a_tie_on_the_block_face_uncertified(lift):
+    # 105 lattice points numbered downward: the grid over the 1st to 99th
+    # percentile, [1, 103] in 26 cells, has a face on the point 52, so some
+    # row's k-th distance equals its margin, and the point on the face, just
+    # outside its block, wins that tie on its lower index; certifying at
+    # k-th <= margin^2 gets those rows wrong.  The same in 2-D, with the
+    # lattice on either coordinate and the other constant.
+    t = np.arange(105.0)[::-1, None]
+    if lift is not None:
+        t = np.insert(np.full((105, 1), 3.0), lift, t[:, 0], axis=1)
+    xs = np.ldexp(t, -7)
+    assert np.array_equal(_knn(xs, 8), knn_brute(xs, 8))
+
+
+@pytest.mark.parametrize("slab", [16, 100])
+def test_knn_in_slabs_of_one_row(monkeypatch, slab):
+    # blocks larger than a slab run one row at a time
+    monkeypatch.setattr(tropalg.regression, "_SLAB_ELEMS", slab)
+    rng = np.random.default_rng(slab)
+    for kind in ("uniform", "normal", "lattice", "one-cell"):
+        xs = _knn_points(kind, 300, 2, rng)
+        assert np.array_equal(_knn(xs, 8), knn_brute(xs, 8)), kind
+
+
+def test_the_pool_gives_the_grid_up_past_its_budget(monkeypatch):
+    # uniform 2-D samples stay within the grid's candidate budget; two tight
+    # clusters overrun it at the first count, before any distance, and the
+    # pool then takes cKDTree's neighbours, as it does for n >= 3.  Either
+    # way the gradients are those of the exact neighbours (no distance ties)
+    from scipy.spatial import cKDTree
+
+    passes = []
+    nearest = tropalg.regression._CellGrid.nearest
+
+    def counted(self, *args):
+        left = nearest(self, *args)
+        passes.append(left is not None)
+        return left
+
+    monkeypatch.setattr(tropalg.regression._CellGrid, "nearest", counted)
+    rng = np.random.default_rng(31)
+    m = 3000
+    clusters = rng.uniform(-1, 1, (2, 2))[rng.integers(2, size=m)] + rng.normal(0, 3e-3, (m, 2))
+    for x, grid in ((rng.uniform(-1, 1, (m, 2)), True), (clusters, False)):
+        passes.clear()
+        f = np.abs(x).sum(axis=1)
+        got, notes = _gradient_pool(x, f)
+        assert (passes and all(passes) if grid else passes == [False]) and notes == ()
+        e = int(np.frexp(np.abs(x).max())[1])
+        xs = np.ldexp(x, -e)
+        idx = cKDTree(xs).query(xs, k=8)[1]
+        good, beta = gradients_per_neighbourhood(xs[idx] - xs[:, None, :], f[idx])
+        assert good.all() and np.array_equal(got, np.ldexp(beta, -e))
+
+
 def _centred_offsets(rng, count, rows, cols, smallest):
     """Neighbour offsets (count, rows, cols), each a translate of a centred
     set whose singular values are 1, cols - 2 draws in [0.5, 1] and

@@ -504,8 +504,9 @@ def main(argv=None) -> int:
     except TropicalError as exc:
         print(f"tropalg: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:
-        print(f"tropalg: error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused, Python's says nothing
+        print(f"tropalg: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

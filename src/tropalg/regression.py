@@ -714,126 +714,6 @@ def _nearest(a: np.ndarray, b: np.ndarray, cand: np.ndarray, k: int) -> tuple[np
     return np.take_along_axis(cand, near, axis=1), dist[:, k - 1]
 
 
-class _CellGrid:
-    """A uniform grid over m points in (-1, 1)^n for their k nearest
-    neighbours (the cell method of Bentley, Weide & Yao 1980).
-
-    The grid has about 2m/k cubic cells (``_grid_shape``) over the box of
-    the 1st to 99th percentile of each coordinate.  Cell j of a coordinate
-    spans [F_j, F_{j+1}) between computed faces, with F_0 = -inf and
-    F_G = +inf, so the outer cells take the points beyond the box, and a
-    point's cell is found by comparing it with the faces, so membership is
-    exact.  Points are kept in cell order, each cell in index order.
-    """
-
-    def __init__(self, xs: np.ndarray, k: int, budget: float) -> None:
-        m, n = xs.shape
-        self.k = k
-        self.budget = budget  # candidates left to compare
-        self.cols = np.ascontiguousarray(xs.T)
-        # the extra column, at index m and +inf, pads candidate rows
-        self.padded = np.concatenate([self.cols, np.full((n, 1), _INF)], axis=1)
-        # a few far points, left to the outer cells, do not stretch the cells
-        lo, hi = np.partition(xs, (m // 100, m - 1 - m // 100), axis=0)[[m // 100, m - 1 - m // 100]]
-        span = hi - lo
-        self.shape = _grid_shape(span, 2.0 * m / k)
-        self.coord = np.empty((n, m), dtype=np.intp)
-        self.faces = []
-        for j, g in enumerate(self.shape):
-            inner = lo[j] + span[j] / g * np.arange(1, g)
-            self.coord[j] = np.searchsorted(inner, xs[:, j], side="right")
-            self.faces.append(np.concatenate([[-_INF], inner, [_INF]]))
-        self.stride = np.ones(n, dtype=np.intp)
-        self.stride[:-1] = np.cumprod(self.shape[:0:-1])[::-1]
-        self.cell = self.stride @ self.coord
-        self.order = np.argsort(self.cell, kind="stable")
-        self.starts = np.zeros(int(np.prod(self.shape)) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.cell, minlength=len(self.starts) - 1), out=self.starts[1:])
-
-    def _runs(self, coord: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """The [begin, end) positions in ``order`` of the points of each
-        cell's block, the cells within ``radius`` of it in every coordinate,
-        one run along the last coordinate per row of the block; (cells, runs)
-        each, runs off the grid empty."""
-        reach = np.minimum(radius, self.shape[:-1] - 1)
-        width = 2 * reach + 1
-        off = np.indices(tuple(width)).reshape(len(reach), int(np.prod(width))) - reach[:, None]
-        inside = np.ones((coord.shape[1], off.shape[1]), dtype=bool)
-        for j in range(len(reach)):
-            at = coord[j][:, None] + off[j]
-            inside &= (at >= 0) & (at < self.shape[j])
-        base = (self.stride[:-1] @ coord[:-1])[:, None] + self.stride[:-1] @ off
-        first = np.maximum(coord[-1] - radius, 0)[:, None]
-        last = np.minimum(coord[-1] + radius, self.shape[-1] - 1)[:, None]
-        # a run off the grid reads starts[0] twice, so it is empty
-        begin = self.starts[np.where(inside, base + first, 0)]
-        end = self.starts[np.where(inside, base + last + 1, 0)]
-        return begin, end
-
-    def nearest(self, rows: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray | None:
-        """Write into ``out`` the neighbours of the ``rows`` it certifies from
-        their cells' blocks of ``radius`` and return the rows it does not;
-        None, with nothing compared, when the blocks hold more candidates
-        than are left of ``budget``.
-
-        A row's candidates are the points of its cell's block, taken from a
-        table of the block of each cell in the slab.  A row is certified when
-        its k-th squared distance is below the computed square of its margin,
-        the computed distance to the block's inner faces: a point outside the
-        block lies beyond a face in some coordinate, and rounding is
-        monotone, so that coordinate's computed square, and so the point's
-        computed squared distance, is at least the margin's.  A block that
-        covers the grid has no inner faces, so its rows are all certified.
-        Rows run in slabs of at most ``_SLAB_ELEMS`` candidates or runs, or
-        one row, grouped by the size of their block.
-        """
-        k, n = self.k, len(self.cols)
-        m = self.cols.shape[1]
-        runs = int(np.prod(2 * np.minimum(radius, self.shape[:-1] - 1) + 1))
-        cells, of_row = np.unique(self.cell[rows], return_inverse=True)
-        coord = np.array(np.unravel_index(cells, self.shape), dtype=np.intp).reshape(n, -1)
-        size = np.empty(len(cells), dtype=np.intp)
-        step = max(1, _SLAB_ELEMS // runs)
-        for s in range(0, len(cells), step):
-            begin, end = self._runs(coord[:, s:s + step], radius)
-            size[s:s + step] = (end - begin).sum(axis=1)
-        by_size = np.argsort(size[of_row] * len(cells) + of_row, kind="stable")
-        rows, of_row = rows[by_size], of_row[by_size]
-        row_size = size[of_row]
-        self.budget -= int(row_size.sum())
-        if self.budget < 0:
-            return None
-        left = []
-        s = 0
-        while s < len(rows):
-            # rows are in ascending block size: the slab is padded to the
-            # size of its last row, which the first row's share bounds
-            last = min(s + max(1, _SLAB_ELEMS // max(row_size[s], k + 1, runs)), len(rows))
-            w = max(row_size[last - 1], k + 1)
-            e = min(s + max(1, _SLAB_ELEMS // max(w, runs)), len(rows))
-            slab, slab_cells = rows[s:e], of_row[s:e]
-            new = np.r_[True, slab_cells[1:] != slab_cells[:-1]]
-            own, local = slab_cells[new], np.cumsum(new) - 1
-            begin, end = self._runs(coord[:, own], radius)
-            lengths = (end - begin).ravel()
-            at = np.repeat(begin.ravel() - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-            table_row = np.repeat(np.arange(len(own)), size[own])
-            table = np.full((len(own), w), m, dtype=np.intp)
-            table[table_row, np.arange(len(at)) - (np.cumsum(size[own]) - size[own])[table_row]] = self.order[at]
-            cand = table.take(local, axis=0)
-            near, kth = _nearest(self.padded.take(cand, axis=1), self.cols[:, slab, None], cand, k)
-            margin = np.full(len(slab), _INF)
-            for j, faces in enumerate(self.faces):
-                x, c = self.cols[j, slab], self.coord[j, slab]
-                np.minimum(margin, x - faces[np.maximum(c - radius, 0)], out=margin)
-                np.minimum(margin, faces[np.minimum(c + radius + 1, len(faces) - 1)] - x, out=margin)
-            sure = kth < np.square(margin)
-            out[slab[sure]] = near[sure]
-            left.append(slab[~sure])
-            s = e
-        return np.concatenate(left)
-
-
 # 2-D samples take their neighbours from the cell grid while its passes
 # compare at most 6k candidates per sample in all, or one slab's worth for
 # small fits; uniform samples in a box or a disc need 4.5k-5.5k.  Less even
@@ -845,23 +725,99 @@ _GRID_PAIRS = 6
 
 def _knn(xs: np.ndarray, k: int, budget: float = _INF) -> np.ndarray | None:
     """The k nearest neighbours (m, k) of each of the m points ``xs`` in
-    (-1, 1)^n among all of them, k <= m, in order of (squared distance
-    summed over the coordinates in order, index); None when that takes more
-    than ``budget`` candidates.
+    (-1, 1)^2 among all of them, k <= m, in order of (squared distance
+    summed over the two coordinates in order, index); None when that takes
+    more than ``budget`` candidates.
 
-    Every row is exact.  Rows come from the blocks of 3^n cells of a
-    ``_CellGrid``; the rows it cannot certify are redone from blocks twice
-    as wide, until a block covers the grid.  Each pass counts its
-    candidates before it compares any, so giving up costs only the grid and
-    the counts.
+    Every row is exact.  The points lie in a uniform grid of about 2m/k
+    cells (``_grid_shape``, the cell method of Bentley, Weide & Yao 1980)
+    over the box of the 1st to 99th percentile of each coordinate.  Cell j
+    of a coordinate spans [F_j, F_{j+1}) between computed faces, with
+    F_0 = -inf and F_G = +inf, so the outer cells take the points beyond the
+    box, and a point's cell is found by comparing it with the faces, so
+    membership is exact.  Points are kept in cell order, each cell in index
+    order.
+
+    A row's candidates are the points of its cell's block, the cells within
+    ``radius`` of it in both coordinates: up to 2 radius + 1 runs along the
+    second coordinate, taken from a table of the block of each cell in the
+    slab.  A row is certified when its k-th squared distance is below the
+    computed square of its margin, the computed distance to the block's
+    inner faces: a point outside the block lies beyond a face in some
+    coordinate, and rounding is monotone, so that coordinate's computed
+    square, and so the point's computed squared distance, is at least the
+    margin's.  The rows left are redone from blocks twice as wide, until a
+    block covers the grid: it has no inner faces, so all its rows are
+    certified.  Rows run in slabs of at most ``_SLAB_ELEMS`` candidates or
+    runs, or one row, grouped by the size of their block.
+
+    Each pass reads its rows' block sizes from a summed-area table of the
+    cell counts (Crow 1984) and takes them from the budget before it
+    compares any candidate; the first does so before the points are sorted
+    into cells, so giving up costs only the cells and their counts.
     """
-    grid = _CellGrid(xs, k, budget)
-    out = np.empty((len(xs), k), dtype=np.intp)
-    rows, radius = np.arange(len(xs)), 1
+    m = len(xs)
+    cols = np.ascontiguousarray(xs.T)
+    # a few far points, left to the outer cells, do not stretch the cells
+    lo, hi = np.partition(xs, (m // 100, m - 1 - m // 100), axis=0)[[m // 100, m - 1 - m // 100]]
+    span = hi - lo
+    shape = _grid_shape(span, 2.0 * m / k)
+    faces = [np.concatenate([[-_INF], lo[j] + span[j] / g * np.arange(1, g), [_INF]]) for j, g in enumerate(shape)]
+    coord = np.array([np.searchsorted(f[1:-1], x, side="right") for f, x in zip(faces, cols)])
+    cell = coord[0] * shape[1] + coord[1]
+    counts = np.bincount(cell, minlength=shape[0] * shape[1])
+    # sat[i, j] counts the points of the cells below i and j in the two coordinates
+    sat = np.zeros(shape + 1, dtype=np.intp)
+    np.cumsum(np.cumsum(counts.reshape(shape), axis=0), axis=1, out=sat[1:, 1:])
+    out = np.empty((m, k), dtype=np.intp)
+    rows, radius = np.arange(m), 1
     while len(rows):
-        rows = grid.nearest(rows, radius, out)
-        if rows is None:
+        # each row's block is the cells [a, b) in both coordinates
+        a = np.maximum(coord[:, rows] - radius, 0)
+        b = np.minimum(coord[:, rows] + radius + 1, shape[:, None])
+        size = sat[b[0], b[1]] - sat[a[0], b[1]] - sat[b[0], a[1]] + sat[a[0], a[1]]
+        budget -= int(size.sum())
+        if budget < 0:
             return None
+        if radius == 1:
+            order = np.argsort(cell, kind="stable")
+            starts = np.concatenate([[0], np.cumsum(counts)])
+            # the extra column, at index m and +inf, pads candidate rows
+            padded = np.concatenate([cols, np.full((2, 1), _INF)], axis=1)
+        by_size = np.argsort(size * len(counts) + cell[rows], kind="stable")
+        rows, a, b, size = rows[by_size], a[:, by_size], b[:, by_size], size[by_size]
+        runs = min(2 * radius + 1, shape[0])
+        left = []
+        s = 0
+        while s < len(rows):
+            # rows are in ascending block size: the slab is padded to the
+            # size of its last row, which the first row's share bounds
+            last = min(s + max(1, _SLAB_ELEMS // max(size[s], k + 1, runs)), len(rows))
+            w = max(size[last - 1], k + 1)
+            e = min(s + max(1, _SLAB_ELEMS // max(w, runs)), len(rows))
+            slab = rows[s:e]
+            new = np.r_[True, cell[slab[1:]] != cell[slab[:-1]]]
+            own = s + np.flatnonzero(new)
+            # run t of a cell's block is its row of cells a[0] + t, if below b[0]
+            at_row = a[0, own, None] + np.arange(runs)
+            inside = at_row < b[0, own, None]
+            base = np.where(inside, at_row * shape[1], 0)
+            begin = starts[base + a[1, own, None]]
+            lengths = np.where(inside, starts[base + b[1, own, None]] - begin, 0).ravel()
+            at = np.repeat(begin.ravel() - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+            table = np.full((len(own), w), m, dtype=np.intp)
+            table[np.arange(w) < size[own, None]] = order[at]
+            cand = table.take(np.cumsum(new) - 1, axis=0)
+            near, kth = _nearest(padded.take(cand, axis=1), cols[:, slab, None], cand, k)
+            margin = np.full(len(slab), _INF)
+            for j in range(2):
+                np.minimum(margin, cols[j, slab] - faces[j][a[j, s:e]], out=margin)
+                np.minimum(margin, faces[j][b[j, s:e]] - cols[j, slab], out=margin)
+            sure = kth < np.square(margin)
+            out[slab[sure]] = near[sure]
+            left.append(slab[~sure])
+            s = e
+        rows = np.concatenate(left)
         radius *= 2
     return out
 
@@ -903,9 +859,11 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     from a least-squares affine fit over its max(n+2, 8) nearest neighbours,
     solved from the centred normal equations of the neighbourhood (see
     ``_gradients``), and is scaled back by 2^shift.  The neighbours of 2-D
-    samples that ``_knn`` serves within its budget (``_GRID_PAIRS``) are
-    exact and in order of (squared distance, index); the others come from
-    scipy's ``cKDTree``, whose order among equal distances is its own.
+    samples come from ``_knn``'s cell grid when it serves them within its
+    budget (``_GRID_PAIRS``), exact and in order of (squared distance,
+    index); those it gives up on, which cost it only the cell counts, and
+    those of samples with n >= 3 come from scipy's ``cKDTree``, whose order
+    among equal distances is its own.
     Neighbourhoods whose Gram matrix fails the rank rule lambda_min >
     2^-40 lambda_max are skipped, and a note says how many.  Every step
     commutes with scaling by powers of two, so fitting (2^a x, 2^b f) gives

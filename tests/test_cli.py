@@ -1390,6 +1390,19 @@ def test_fit_blocked_output_leaves_no_file(line_csv, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.glob("run*")) == ["run.grid.txt"]
 
 
+def test_fit_grid_past_memory_is_one_line_and_leaves_no_file(tmp_path, capsys):
+    # 10^7 points per axis ask numpy for 728 TiB, more than any address
+    # space, so the allocation fails at once; every text is built before
+    # any file is written
+    data = tmp_path / "plane.csv"
+    data.write_text("x,y,f\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n", encoding="utf-8")
+    rc = main(["fit", str(data), "--slopes", "plane", "--grid", "10000000", "--out", str(tmp_path / "run")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith("tropalg: error: Unable to allocate") and err.count("\n") == 1
+    assert list(tmp_path.glob("run*")) == []
+
+
 def test_fit_outputs_replace_old_files_and_leave_no_temporaries(line_csv, tmp_path, capsys):
     target = tmp_path / "target.model.txt"
     target.write_text("old\n", encoding="utf-8")

@@ -504,41 +504,45 @@ def _knn_points(kind, m, n, rng):
         x[-1] = -0.9
     elif kind == "normal":  # dense middle, sparse tails
         x = rng.normal(size=(m, n))
+    elif kind == "disc":  # uniform in the unit ball
+        x = rng.normal(size=(m, n))
+        x *= rng.uniform(0, 1, (m, 1)) ** (1 / n) / np.linalg.norm(x, axis=1, keepdims=True)
+    elif kind == "clusters":  # two tight clusters, each in a few cells
+        x = x[:2][rng.integers(2, size=m)] + rng.normal(0, 3e-3, (m, n))
     elif kind in ("2^60", "2^-60"):
         x = np.ldexp(x, int(kind[2:]))
     return np.ldexp(x, -int(np.frexp(np.abs(x).max())[1]))
 
 
 @pytest.mark.parametrize("kind", ["uniform", "copies", "lattice", "collinear", "constant", "one-cell",
-                                  "normal", "2^60", "2^-60"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+                                  "normal", "disc", "clusters", "2^60", "2^-60"])
+@pytest.mark.parametrize("n", [2])
 def test_knn_equals_brute_force_and_tree(n, kind):
     # exact neighbours in (squared distance, index) order, at m = k, where no
-    # candidate is left over, up to 2000 points; where no two distances from
-    # a point tie, they are also cKDTree's
+    # candidate is left over, up to 2000 points, where a block of the
+    # clusters holds about half of them; where no two distances from a point
+    # tie, they are also cKDTree's
     from scipy.spatial import cKDTree
 
-    k = max(n + 2, 8)
+    k = 8
     rng = np.random.default_rng(100 * n + len(kind))
     for m in (k, k + 1, 3 * k, 2000):
         xs = _knn_points(kind, m, n, rng)
         got = _knn(xs, k)
         assert np.array_equal(got, knn_brute(xs, k)), m
-        if kind not in ("copies", "lattice") and not (kind == "constant" and n == 1):
+        if kind not in ("copies", "lattice"):
             assert np.array_equal(got, cKDTree(xs).query(xs, k=k)[1]), m
 
 
-@pytest.mark.parametrize("lift", [None, 0, 1])
+@pytest.mark.parametrize("lift", [0, 1])
 def test_knn_leaves_a_tie_on_the_block_face_uncertified(lift):
-    # 105 lattice points numbered downward: the grid over the 1st to 99th
-    # percentile, [1, 103] in 26 cells, has a face on the point 52, so some
-    # row's k-th distance equals its margin, and the point on the face, just
-    # outside its block, wins that tie on its lower index; certifying at
-    # k-th <= margin^2 gets those rows wrong.  The same in 2-D, with the
-    # lattice on either coordinate and the other constant.
-    t = np.arange(105.0)[::-1, None]
-    if lift is not None:
-        t = np.insert(np.full((105, 1), 3.0), lift, t[:, 0], axis=1)
+    # 105 lattice points numbered downward, on either coordinate, the other
+    # constant: the grid over the 1st to 99th percentile, [1, 103] in 26
+    # cells, has a face on the point 52, so some row's k-th distance equals
+    # its margin, and the point on the face, just outside its block, wins
+    # that tie on its lower index; certifying at k-th <= margin^2 gets those
+    # rows wrong.
+    t = np.insert(np.full((105, 1), 3.0), lift, np.arange(105.0)[::-1], axis=1)
     xs = np.ldexp(t, -7)
     assert np.array_equal(_knn(xs, 8), knn_brute(xs, 8))
 
@@ -560,23 +564,29 @@ def test_the_pool_gives_the_grid_up_past_its_budget(monkeypatch):
     # way the gradients are those of the exact neighbours (no distance ties)
     from scipy.spatial import cKDTree
 
-    passes = []
-    nearest = tropalg.regression._CellGrid.nearest
+    slabs, by_grid = [], []
+    knn, nearest = tropalg.regression._knn, tropalg.regression._nearest
 
-    def counted(self, *args):
-        left = nearest(self, *args)
-        passes.append(left is not None)
-        return left
+    def counted(*args):
+        slabs.append(len(args[2]))
+        return nearest(*args)
 
-    monkeypatch.setattr(tropalg.regression._CellGrid, "nearest", counted)
+    def served(*args):
+        idx = knn(*args)
+        by_grid.append(idx is not None)
+        return idx
+
+    monkeypatch.setattr(tropalg.regression, "_nearest", counted)
+    monkeypatch.setattr(tropalg.regression, "_knn", served)
     rng = np.random.default_rng(31)
     m = 3000
     clusters = rng.uniform(-1, 1, (2, 2))[rng.integers(2, size=m)] + rng.normal(0, 3e-3, (m, 2))
     for x, grid in ((rng.uniform(-1, 1, (m, 2)), True), (clusters, False)):
-        passes.clear()
+        slabs.clear()
+        by_grid.clear()
         f = np.abs(x).sum(axis=1)
         got, notes = _gradient_pool(x, f)
-        assert (passes and all(passes) if grid else passes == [False]) and notes == ()
+        assert by_grid == [grid] and bool(slabs) == grid and notes == ()
         e = int(np.frexp(np.abs(x).max())[1])
         xs = np.ldexp(x, -e)
         idx = cKDTree(xs).query(xs, k=8)[1]

@@ -355,7 +355,7 @@ def run_eval(args) -> int:
     if args.at is not None and args.data is not None:
         raise TropicalError("--at and --data cannot be combined: eval takes one point or one dataset")
     poly = read_polynomial(args.poly)
-    if args.at:
+    if args.at is not None:
         try:
             pts = np.array([[float(t) for t in args.at.split(",")]])
         except ValueError:

@@ -172,15 +172,31 @@ def _check_method(method: str, clodum: Clodum) -> None:
         )
 
 
+def _exponent(v) -> int:
+    """The e with 2^-e * max|v| in [0.5, 1), the maximum taken over the
+    finite values of ``v``, or 0 when none of them is non-zero.
+
+    Every stage of a fit that squares numbers (``_rms``, ``_jenks_table``,
+    ``_kmeans``, ``_gradient_pool``, ``least_squares_line``) squares values
+    scaled by 2^-e, whose finite ones lie in (-1, 1), and scales its result
+    back; an infinity or a NaN stays as it is and reaches the result
+    without a finite square overflowing beside it.
+    Scaling by a power of two commutes with rounding for every value that
+    stays normal (Goldberg 1991, *What every computer scientist should know
+    about floating-point arithmetic*), so the results are those of the
+    unscaled values wherever those neither overflow nor underflow, and data
+    scaled by any power of two gives results scaled by it, bit for bit.
+    """
+    return int(np.frexp(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))[1])
+
+
 def _rms(res: np.ndarray) -> float:
-    """Root mean square of the residuals.  When the squares overflow, the
-    residuals are scaled by a power of two into (-1, 1) first, exactly."""
-    with np.errstate(over="ignore"):
-        rms = np.sqrt(np.mean(res**2))
-    if np.isinf(rms) and np.isfinite(res).all():
-        e = int(np.frexp(np.abs(res).max())[1])
-        rms = np.ldexp(np.sqrt(np.mean(np.ldexp(res, -e) ** 2)), e)
-    return float(rms)
+    """Root mean square of the residuals, taken from the residuals scaled by
+    2^-e into (-1, 1) (``_exponent``) and scaled back by 2^e, so no square
+    overflows or underflows needlessly: residuals times 2^b give 2^b times
+    the rms, bit for bit."""
+    e = _exponent(res)
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(res, -e) ** 2)), e))
 
 
 def _fit_terms(x: np.ndarray, f: np.ndarray, slopes: np.ndarray, clodum: Clodum,
@@ -305,16 +321,18 @@ def fit_max_affine(problem: FitProblem, method: str = "gle") -> FitReport:
 
 def _sweep_fits(problem: FitProblem, method: str, counts):
     """The reports of ``problem`` fitted with ``AutoSlopes(k, seed)`` for each
-    k of the non-empty ``counts`` in turn, as a generator; ``problem`` holds
-    the first k.  ``fit_max_affine`` of an ``AutoSlopes`` problem is the
-    first report of its one count.
+    k of the non-empty sequence ``counts`` in turn, as a generator;
+    ``problem`` holds the first k.  ``fit_max_affine`` of an ``AutoSlopes``
+    problem is the first report of its one count.
 
     The slopes come from ``_slope_sets``, which takes the candidate pool once
     for all k, so each report, and the first error, are those of the separate
-    fits; the pool's notes lead every report's warnings.  The problem is
-    checked at the first k only: its one check that depends on k, k <= m,
-    never fails first at a later k, because every k >= m already fails the
-    estimator's own sample count check.
+    fits; the pool's notes lead every report's warnings.  Every k's sample
+    and pool checks run before the first fit, so one of them fails ahead of
+    an earlier k's own fit error (a max-plus design that overflows to NaN).
+    The problem is checked at the first k only: its one check that depends
+    on k, k <= m, never fails first at a later k, because every k >= m
+    already fails the estimator's own sample count check.
     """
     _check_max_affine(problem.clodum, method)
     x, f = problem.inputs, problem.targets
@@ -331,8 +349,6 @@ def _numerical_derivatives(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Slopes of consecutive sorted samples (one-sided finite differences)."""
     order = np.argsort(x, kind="stable")
     xs, fs = x[order], f[order]
-    if len(xs) < 2:
-        raise TropicalError("need at least two samples to estimate derivatives")
     dx = np.diff(xs)
     keep = dx > 0  # duplicated abscissae carry no finite-difference information
     if not keep.any():
@@ -361,7 +377,11 @@ def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values and the split table of the natural-breaks DP for every c <= k.
 
     ``split[c, j]`` is the first index of the last cluster in the best
-    partition of the sorted values 0..j into c clusters.  The cost sse(i, j)
+    partition of the sorted values 0..j into c clusters.  The prefix sums
+    the costs come from are taken of the sorted values scaled by 2^-e into
+    (-1, 1) (``_exponent``), so no square overflows or underflows needlessly
+    and values times a power of two give the same splits; the means are
+    taken of the unscaled values.  The cost sse(i, j)
     of a cluster i..j does not depend on c, so the DP runs over blocks of
     cluster ends j.  Each block computes its sse table once, for every split
     i up to its last end, and sets i > j and NaN (from infinite values) to
@@ -370,7 +390,8 @@ def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ascending order, whose first minimum is the lower-index tie rule.  The sse
     expression, the candidates and their order are those of the scalar DP
     (``tests/oracles.py::jenks_breaks_dp``), so the splits, and the means
-    backtracked from them, are bit for bit the same.  Row c of the table does
+    backtracked from them, are bit for bit the same wherever the oracle's
+    unscaled squares neither overflow nor underflow.  Row c of the table does
     not depend on k, so the table for k serves every smaller cluster count.
 
     A block holds ``max(1, _JENKS_PAIRS // n)`` cluster ends, so no temporary
@@ -380,8 +401,9 @@ def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.sort(values)
     n = len(v)
-    s1 = np.concatenate([[0.0], np.cumsum(v)])
-    s2 = np.concatenate([[0.0], np.cumsum(v**2)])
+    w = np.ldexp(v, -_exponent(v))
+    s1 = np.concatenate([[0.0], np.cumsum(w)])
+    s2 = np.concatenate([[0.0], np.cumsum(w**2)])
     cost = np.full((k + 1, n), _INF)
     split = np.zeros((k + 1, n), dtype=int)
     width = max(1, _JENKS_PAIRS // n)
@@ -435,7 +457,11 @@ def estimate_slopes_1d(x, f, count: int, seed: int = 0) -> np.ndarray:
 
     The clustering is an exact 1-D k-means, so the result is deterministic;
     ``seed`` is accepted for interface symmetry with the n-D estimator.  The
-    samples are checked by the :class:`FitProblem` of the estimate.
+    finite differences and the DP, which squares scaled values (see
+    ``_jenks_table``), commute with scaling by powers of two, so
+    (2^a x, 2^b f) gives 2^(b-a) times the slopes, bit for bit, for every a
+    and b that keep x, f and the slopes in the normal range.  The samples
+    are checked by the :class:`FitProblem` of the estimate.
     """
     problem = FitProblem(np.ravel(x), np.ravel(f), AutoSlopes(count))
     return next(_slope_sets(problem.inputs[:, 0], problem.targets, [count], seed))[0][:, 0]
@@ -450,15 +476,17 @@ def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
 
     The pool (the differences, or ``_gradient_pool``) is taken once, and the
     natural-breaks DP runs once, for the largest count: row c of its table
-    does not depend on the count it was run for.  Each count makes the checks
-    of a separate estimate in the same order (sample count, the pool's own at
-    the first count that reaches them, pool size), so every result and the
-    first error are bit for bit those of ``estimate_slopes_1d`` or
-    ``estimate_slopes_nd`` at that count alone.
+    does not depend on the count it was run for.  Every count makes the
+    checks of a separate estimate in the same order (sample count, the
+    pool's own at the first count that reaches them, pool size) before any
+    selection runs, so a range the data cannot serve fails before the first
+    clustering, with the first failing count's error, and every result is
+    bit for bit that of ``estimate_slopes_1d`` or ``estimate_slopes_nd`` at
+    that count alone.
     """
     one = x.ndim == 1
     m, n = len(x), 1 if one else x.shape[1]
-    pool = table = None
+    pool = None
     for count in counts:
         if m < count + n:
             where = "" if one else f" in {n}-D"
@@ -468,12 +496,10 @@ def _slope_sets(x: np.ndarray, f: np.ndarray, counts, seed: int):
         if count > len(pool):
             kind = "derivative" if one else "gradient"
             raise TropicalError(f"only {len(pool)} {kind} samples for {count} clusters")
-        if not one:
-            yield _kmeans(pool, count, np.random.default_rng(seed)), notes
-            continue
-        if table is None:
-            table = _jenks_table(pool, min(max(counts), len(pool)))
-        yield _jenks_means(*table, count)[:, None], notes
+    table = _jenks_table(pool, max(counts)) if one else None
+    for count in counts:
+        slopes = _jenks_means(*table, count)[:, None] if one else _kmeans(pool, count, np.random.default_rng(seed))
+        yield slopes, notes
 
 
 def _sq_sum(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -516,11 +542,9 @@ def _centroids(cols: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray
 
 # Distance bounds of the k-means Lloyd step (see _kmeans): the relative slack,
 # per coordinate, of a distance taken from a computed squared distance; the
-# absolute slack for underflow, so no upper bound is below it; and the cap on
-# lower bounds, which keeps a skipped point's own distance finite.
+# absolute slack for underflow, so no upper bound is below it.
 _BOUND_SLACK = 2.0**-48
 _BOUND_TINY = 2.0**-500
-_BOUND_HUGE = 2.0**500
 # factors that round a sum of bounds outward: (1 -+ u)^2 (1 +- 4u) exceeds 1,
 # or falls short of it, for the unit roundoff u = 2^-53
 _ROUND_UP = 1.0 + 2.0**-51
@@ -534,17 +558,23 @@ def _upper(sq: np.ndarray, rel: float) -> np.ndarray:
 
 def _lower(sq: np.ndarray, rel: float) -> np.ndarray:
     """A lower bound on the exact distance whose computed square is ``sq``,
-    with the skip margin taken off and capped at 2^500."""
-    return np.minimum(np.sqrt(sq) * (1.0 - 3.0 * rel) - _BOUND_TINY, _BOUND_HUGE)
+    with the skip margin taken off."""
+    return np.sqrt(sq) * (1.0 - 3.0 * rel) - _BOUND_TINY
 
 
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded k-means++ with Lloyd iterations; empty clusters re-seed, in
     ascending cluster order, from the point currently farthest from its
     assigned center.  The Lloyd steps stop once no center coordinate moves by
-    more than ``KMEANS_TOL`` times the largest |coordinate| of the points, a
-    rule that scaling the points by a power of two leaves unchanged, or after
-    ``KMEANS_MAX_ITER`` steps.
+    more than ``KMEANS_TOL`` times the largest |coordinate| of the points, or
+    after ``KMEANS_MAX_ITER`` steps.
+
+    The points are scaled by 2^-e into (-1, 1) (``_exponent``) as they are
+    copied into coordinate rows, the seeds, reseeds, tolerance and every
+    distance come from those rows, and the centers are scaled back by 2^e.
+    The scaling is exact for every value that stays normal, so points times
+    a power of two give centers times it, bit for bit, and no squared
+    distance overflows or underflows needlessly.
 
     Memory is two m*k buffers, filled in place; the m*k*n difference tensor
     is never built.  Distances sum the n coordinates in order and centroids
@@ -560,21 +590,25 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     other center.  Its distance row is recomputed only when U < L fails.
     When the centers move, each by at most an upper bound d_c on its exact
     move, U grows by d_own and L shrinks by the largest d_c of any center,
-    both rounded outward (``_ROUND_UP``/``_ROUND_DOWN``).  The skip is exact:
+    both rounded outward (``_ROUND_UP``/``_ROUND_DOWN``).  For finite
+    points, as every pool's are, the skip is exact:
 
-    * A computed squared distance S of exact distance D (finite values) has
-      |S - D^2| <= g*D^2 + e, with g = (1 + u)^(n+2) - 1, u = 2^-53 and
-      e = n*2^-1074: n correctly rounded differences, squares and sums of
+    * The scaled points lie in (-1, 1) and the centers, their means, within
+      a rounding of [-1, 1], so every computed squared distance is finite,
+      about 4n at most.
+    * A computed squared distance S of exact distance D has
+      |S - D^2| <= g*D^2 + h, with g = (1 + u)^(n+2) - 1, u = 2^-53 and
+      h = n*2^-1074: n correctly rounded differences, squares and sums of
       non-negative terms, and at most 2^-1075 per square that underflows.
-    * With r = (n + 4)*2^-48 = 32*(n + 4)*u and t = 2^-500 > sqrt(e),
+    * With r = (n + 4)*2^-48 = 32*(n + 4)*u and t = 2^-500 > sqrt(h),
       U = sqrt(S)*(1 + r) + t >= D, and B = sqrt(S)*(1 - r) - t <= D; the
       stored L = sqrt(S)*(1 - 3r) - t is at most (1 - r)*B after its own
-      roundings.  U >= 2^-500 always, and L <= 2^500.
-    * A point is skipped only if U < L.  Then U < (1 - r)*B, both lie in
-      [2^-500, 2^500], S_own <= (1 + g)*U^2 + e is finite, and every other
-      center has S_c >= (1 - g)*B^2 - e, or S_c = +inf.  As e is negligible
-      against r*B^2 >= r*2^-1000 and (1 + g)*(1 - r)^2 < 1 - g,
-      S_own < S_c strictly.
+      roundings.  U >= 2^-500 always.
+    * A point is skipped only if U < L.  Then 2^-500 <= U < (1 - r)*B,
+      S_own <= (1 + g)*U^2 + h, and every other center has
+      S_c >= (1 - g)*B^2 - h.  As h is negligible against
+      r*B^2 >= r*2^-1000 and (1 + g)*(1 - r)^2 < 1 - g, S_own < S_c
+      strictly.
 
     Hence a skipped point's computed row would have its unique minimum at
     its current center: ``argmin``, with its lowest-index tie rule, and the
@@ -586,9 +620,10 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     step is a full pass.
     """
     m, n = points.shape
-    cols = np.ascontiguousarray(points.T)
+    e = _exponent(points)
+    cols = np.ldexp(points.T, -e, order="C")
     centers = np.empty((k, n))
-    centers[0] = points[rng.integers(m)]
+    centers[0] = cols[:, rng.integers(m)]
     near, tmp = np.empty((m, 1)), np.empty((m, 1))
     d2 = _sq_dist(cols, centers[:1], near, tmp)[:, 0].copy()
     for c in range(1, k):
@@ -597,10 +632,10 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             idx = int(rng.integers(m))
         else:
             idx = int(rng.choice(m, p=d2 / total))
-        centers[c] = points[idx]
+        centers[c] = cols[:, idx]
         np.minimum(d2, _sq_dist(cols, centers[c:c + 1], near, tmp)[:, 0], out=d2)
     rel = _BOUND_SLACK * (n + 4)
-    tol = KMEANS_TOL * np.abs(points).max()
+    tol = KMEANS_TOL * np.abs(cols).max()
     dist, tmp = np.empty((m, k)), np.empty((m, k))
     assign = np.empty(m, dtype=np.intp)
     upper, lower = np.empty(m), np.empty(m)
@@ -620,7 +655,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
             own = _sq_sum(cols, centers[assign].T, np.empty(m), np.empty(m))
             for c in np.flatnonzero(~filled):
                 far = int(np.argmax(own))
-                new_centers[c] = points[far]
+                new_centers[c] = cols[:, far]
                 own[far] = 0.0
         shift = float(np.max(np.abs(new_centers - centers)))
         drift = _upper(_sq_sum(new_centers.T, centers.T, np.empty(k), np.empty(k)), rel)
@@ -636,7 +671,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
         lower *= _ROUND_DOWN
         stale = np.flatnonzero(~(upper < lower))
         sub = cols[:, stale]
-    return centers
+    return np.ldexp(centers, e)
 
 
 # A centred neighbourhood is full rank when the smallest eigenvalue of its
@@ -832,9 +867,11 @@ def estimate_slopes_nd(x, f, count: int, seed: int = 0) -> np.ndarray:
     The gradients come from ``_gradient_pool``; clustering uses k-means++
     initialization from ``seed``, a non-negative integer, and Lloyd steps
     that skip the distance rows their bounds settle and stop on a move
-    relative to the gradients' size (see ``_kmeans``).  Both stages commute
-    with scaling by powers of two, so (2^a x, 2^b f) gives 2^(b-a) times the
-    slopes, bit for bit, while no value underflows or overflows.  x must
+    relative to the gradients' size (see ``_kmeans``).  Both stages square
+    only values scaled into (-1, 1) and commute with scaling by powers of
+    two, so (2^a x, 2^b f) gives 2^(b-a) times the slopes, bit for bit, for
+    every a and b that keep x, f and the slopes in the normal range; only
+    gradients that overflow are refused.  x must
     be 2-D; the samples and the seed are checked by the :class:`FitProblem`
     of the estimate.  The notes of the pool (skipped neighbourhoods) have no
     place in the returned array, so each is passed to ``warnings.warn``,
@@ -853,12 +890,12 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     """The local gradients of n-D samples, one row per full-rank neighbourhood,
     and the notes of the pool.
 
-    x is first scaled by 2^shift into (-1, 1), with shift = -frexp(max|x|)[1],
-    which is exact: squared distances cannot overflow, and x times any power
-    of two gives the same scaled coordinates.  Each sample's gradient comes
-    from a least-squares affine fit over its max(n+2, 8) nearest neighbours,
-    solved from the centred normal equations of the neighbourhood (see
-    ``_gradients``), and is scaled back by 2^shift.  The neighbours of 2-D
+    x is first scaled by 2^-e into (-1, 1) (``_exponent``), which is exact:
+    squared distances cannot overflow, and x times any power of two gives
+    the same scaled coordinates.  Each sample's gradient comes from a
+    least-squares affine fit over its max(n+2, 8) nearest neighbours, solved
+    from the centred normal equations of the neighbourhood (see
+    ``_gradients``), and is scaled back by 2^-e.  The neighbours of 2-D
     samples come from ``_knn``'s cell grid when it serves them within its
     budget (``_GRID_PAIRS``), exact and in order of (squared distance,
     index); those it gives up on, which cost it only the cell counts, and
@@ -868,13 +905,14 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     2^-40 lambda_max are skipped, and a note says how many.  Every step
     commutes with scaling by powers of two, so fitting (2^a x, 2^b f) gives
     2^(b-a) times the gradients, bit for bit, while no value underflows or
-    overflows.  Gradients that overflow or are too large for k-means to sum
-    their squared distances raise :class:`TropicalError` naming the sample.
+    overflows.  Gradients that overflow raise :class:`TropicalError` naming
+    the sample; finite ones of any size are clustered, as ``_kmeans`` scales
+    them too.
     """
     m, n = x.shape
     k_nn = min(max(n + 2, 8), m)
-    shift = -int(np.frexp(np.abs(x).max())[1])
-    xs = np.ldexp(x, shift)
+    e = _exponent(x)
+    xs = np.ldexp(x, -e)
     idx = _knn(xs, k_nn, max(_GRID_PAIRS * k_nn * m, _SLAB_ELEMS)) if n == 2 else None
     if idx is None:
         from scipy.spatial import cKDTree  # heavy import, needed only here
@@ -882,8 +920,8 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
         idx = cKDTree(xs).query(xs, k=k_nn)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         good, beta = _gradients(xs[idx] - xs[:, None, :], f[idx])
-        # the gradient in x is the gradient in x * 2^shift, times 2^shift
-        gradients = np.ldexp(beta, shift)
+        # the gradient in x is the gradient in x * 2^-e, times 2^-e
+        gradients = np.ldexp(beta, -e)
     if not good.any():
         raise TropicalError("every neighbourhood is rank-deficient; cannot estimate gradients")
     notes = ()
@@ -893,36 +931,28 @@ def _gradient_pool(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, tuple[str,
     bad = ~np.isfinite(gradients).all(axis=1)
     if bad.any():
         raise TropicalError(f"the gradient at {_sample_text(x, int(rows[np.argmax(bad)]))} overflows")
-    # every squared distance k-means forms, and their sum over all samples,
-    # stay below n * (2 * largest)^2 * samples
-    size = np.abs(gradients).max(axis=1)
-    with np.errstate(over="ignore"):
-        fits = np.isfinite(n * len(rows) * np.square(2.0 * size.max()))
-    if not fits:
-        raise TropicalError(
-            f"the gradient at {_sample_text(x, int(rows[np.argmax(size)]))} is too large to cluster"
-        )
     return gradients, notes
 
 
 def least_squares_line(x, f) -> tuple[float, float]:
     """Ordinary least-squares line fit; the Euclidean baseline for comparisons.
 
-    When a sum overflows, the line is fitted to x and f scaled by powers of
-    two into (-1, 1), as ``_rms`` scales the residuals, and scaled back; the
-    scaling is exact for every value it keeps in the normal range.
+    The line is always fitted to x and f scaled by powers of two into
+    (-1, 1) (``_exponent``), as ``_rms`` scales the residuals, and scaled
+    back; the scaling is exact for every value it keeps in the normal range,
+    so no sum of squares overflows or underflows needlessly, and
+    (2^a x, 2^b f) gives the slope times 2^(b-a) and the intercept times 2^b,
+    bit for bit.  Constant x gives slope 0 and the mean of f.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     f = np.asarray(f, dtype=float).reshape(-1)
+    p, q = _exponent(x), _exponent(f)
+    xs, fs = np.ldexp(x, -p), np.ldexp(f, -q)
     m = len(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = m * np.sum(x * x) - np.sum(x) ** 2
-        num = m * np.sum(x * f) - np.sum(x) * np.sum(f)
-    if not np.isfinite([denom, num]).all() and np.isfinite(x).all() and np.isfinite(f).all():
-        p, q = (int(np.frexp(np.abs(v).max())[1]) for v in (x, f))
-        a, b = least_squares_line(np.ldexp(x, -p), np.ldexp(f, -q))
-        return float(np.ldexp(a, q - p)), float(np.ldexp(b, q))
+    with np.errstate(invalid="ignore"):  # inf - inf of non-finite samples gives NaN
+        denom = m * np.sum(xs * xs) - np.sum(xs) ** 2
+        num = m * np.sum(xs * fs) - np.sum(xs) * np.sum(fs)
     if denom == 0:
         return 0.0, float(np.mean(f))
     a = num / denom
-    return float(a), float(np.mean(f - a * x))
+    return float(np.ldexp(a, q - p)), float(np.ldexp(np.mean(fs - a * xs), q))

@@ -664,6 +664,24 @@ def test_fit_sweep_2d_takes_the_gradients_once(monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, counts, k", [("1d-duplicate-abscissae", "1:1000", 8), ("2d", "1:5000", 35)])
+def test_fit_sweep_the_data_cannot_serve_fails_before_any_selection(name, counts, k, monkeypatch, tmp_path, capsys):
+    # every count is checked once the pool is taken, before any natural-breaks
+    # DP or k-means runs, and the error is the separate fit's at the first
+    # count that fails
+    calls = []
+    for stage in ("_kmeans", "_jenks_table"):
+        monkeypatch.setattr(tropalg.regression, stage, lambda *a, stage=stage: calls.append(stage))
+    path = _write_table(tmp_path / "d.csv", _sweep_datasets()[name])
+    assert main(["fit", str(path), "--no-header", "--sweep-k", counts]) == 2
+    out, err = capsys.readouterr()
+    assert (out, calls) == ("", [])
+    assert main(["fit", str(path), "--no-header", "--slopes", f"auto:{k}"]) == 2
+    assert capsys.readouterr() == ("", err)
+    monkeypatch.undo()
+    assert main(["fit", str(path), "--no-header", "--slopes", f"auto:{k - 1}"]) == 0
+
+
 @pytest.mark.parametrize("slopes", ["line", "plane", "auto:2", "slopes.txt"])
 def test_fit_sweep_takes_no_slopes(slopes, line_csv, tmp_path, capsys):
     (tmp_path / "slopes.txt").write_text("1\n0\n", encoding="utf-8")
@@ -1012,6 +1030,15 @@ def test_eval_non_numeric_point_is_usage_error(tmp_path, capsys):
     _one_line_usage_error(rc, capsys)
 
 
+@pytest.mark.parametrize("argv", [["--at", ""], ["--at="]])
+def test_eval_empty_point_is_a_bad_point(tmp_path, capsys, argv):
+    # an empty --at is given, so it is read as a point, not taken for no --at
+    poly = tmp_path / "p.txt"
+    poly.write_text("troppoly max max-plus\n1.0 0.0 | -2.0\n", encoding="utf-8")
+    rc = main(["eval", str(poly), *argv])
+    assert _one_line_usage_error(rc, capsys) == "tropalg: error: --at needs comma-separated numbers, got ''\n"
+
+
 @pytest.mark.parametrize("which", ["poly", "data"])
 def test_eval_non_utf8_file_is_usage_error(tmp_path, capsys, which):
     files = {"poly": tmp_path / "p.txt", "data": tmp_path / "d.csv"}
@@ -1066,6 +1093,17 @@ def test_eval_data_one_column_wider_drops_the_target(tmp_path, capsys):
     pts = ingest_csv(tmp_path / "pts.csv", has_header=False).features
     assert out == _table_text(pts, read_polynomial(tmp_path / "p.txt").evaluate(pts))
     assert _eval_data(tmp_path, capsys, _PLANE_POLY, table, "--target", "col3")[1].out == out
+
+
+@pytest.mark.parametrize("poly, width, message", [
+    (_LINE_POLY, 3, "polynomial has dimension 1 but dataset provides 2 features"),
+    (_PLANE_POLY, 2, "polynomial has dimension 2 but dataset provides 1 features"),
+], ids=["wider", "narrower"])
+def test_cli_refusals(poly, width, message, tmp_path, capsys):
+    # eval --data --target: the features left beside the target must match
+    # the polynomial's dimension
+    rc, (out, err) = _eval_data(tmp_path, capsys, poly, np.ones((3, width)), "--target", f"col{width}")
+    assert (rc, out, err) == (2, "", f"tropalg: error: {message}\n")
 
 
 @pytest.mark.parametrize("width", [1, 4])

@@ -376,3 +376,16 @@ def test_kernels_match_always_filling_oracle_bytes(clodum):
                     got = np.asarray(new(x, y))
                     want = np.asarray(old(clodum.theta, x, y))
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# public refusals: the exception type and the whole message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Clodum("min-plus"), TropicalError, "unknown clodum kind 'min-plus'"),
+], ids=["kind"])
+def test_clodum_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)

@@ -17,6 +17,7 @@ from tropalg import (
     AutoSlopes,
     CarrierError,
     Clodum,
+    DimensionMismatchError,
     FitProblem,
     GivenSlopes,
     TropicalError,
@@ -40,6 +41,7 @@ from tropalg.regression import (
     _jenks_breaks,
     _kmeans,
     _knn,
+    _rms,
     _sweep_fits,
 )
 
@@ -374,7 +376,6 @@ def _jenks_inputs(rng):
         yield np.full(n, rng.normal())  # every partition ties up to rounding
         yield np.repeat(rng.normal(size=n), 5)[:n]  # repeated blocks
         yield np.round(rng.normal(size=n), 1)
-    yield rng.normal(size=40) * 1e160  # squares overflow to inf
     yield np.array([1.0, -INF, 2.0, INF, 2.0, 0.5, INF])
 
 
@@ -393,6 +394,16 @@ def test_jenks_breaks_match_scalar_dp(pairs, monkeypatch):
                 warnings.simplefilter("ignore", RuntimeWarning)  # means of infinite clusters
                 got, expected = _jenks_breaks(vals, k), jenks_breaks_dp(vals, k)
             assert np.array_equal(got, expected, equal_nan=True), (n, k)
+
+
+@pytest.mark.parametrize("k", [531, -531, 1000, -1000])
+def test_jenks_breaks_scale_by_powers_of_two(k):
+    # the DP squares its values scaled into (-1, 1), so values whose squares
+    # overflow (2^531 is about 1e160) or underflow give the scalar DP's
+    # breaks of the unscaled values, scaled
+    vals = np.random.default_rng(3).normal(size=40)
+    for c in (1, 2, 6, 40):
+        assert _jenks_breaks(np.ldexp(vals, k), c).tobytes() == np.ldexp(jenks_breaks_dp(vals, c), k).tobytes()
 
 
 def test_jenks_breaks_memory_is_bounded():
@@ -820,7 +831,8 @@ def test_estimate_slopes_nd_fits_widely_spread_coordinates():
 
 
 @pytest.mark.parametrize("a, b", [(50, 50), (-50, -50), (60, 60), (-60, -60), (600, 600),
-                                  (10, 0), (-40, 3), (0, 50), (0, -50), (30, -30)])
+                                  (10, 0), (-40, 3), (0, 50), (0, -50), (30, -30),
+                                  (0, 990), (0, -1000), (-700, 300)])
 def test_nd_slopes_scale_by_powers_of_two(a, b):
     # fitting (2^a x, 2^b f) gives 2^(b - a) times the gradients and slopes,
     # bit for bit
@@ -837,14 +849,42 @@ def test_nd_slopes_scale_by_powers_of_two(a, b):
     assert got.tobytes() == np.ldexp(want, b - a).tobytes()
 
 
+@pytest.mark.parametrize("a, b", [(0, 600), (0, -600), (600, 0), (-600, 0), (-500, 500), (300, 300), (0, 60)])
+def test_1d_fits_scale_by_powers_of_two(a, b):
+    # fitting (2^a x, 2^b f) gives 2^(b - a) times the slopes, 2^b times the
+    # residual rms, and a least-squares line scaled by (2^(b - a), 2^b), bit
+    # for bit: every stage squares values scaled into (-1, 1)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1, 1, 400)
+    f = np.maximum.reduce([-3 * x, x, 4 * x - 1.5]) + rng.uniform(-0.01, 0.01, 400)
+    xa, fb = np.ldexp(x, a), np.ldexp(f, b)
+    for method in ("gle", "mmae"):
+        want = fit_max_affine(FitProblem(x, f, AutoSlopes(3)), method)
+        got = fit_max_affine(FitProblem(xa, fb, AutoSlopes(3)), method)
+        assert got.model.slopes.tobytes() == np.ldexp(want.model.slopes, b - a).tobytes()
+        assert (got.rms_error, got.linf_error) == (np.ldexp(want.rms_error, b), np.ldexp(want.linf_error, b))
+    slope, intercept = least_squares_line(x, f)
+    assert least_squares_line(xa, fb) == (np.ldexp(slope, b - a), np.ldexp(intercept, b))
+
+
+def test_rms_scales_tiny_and_huge_residuals():
+    # squares of residuals near 1e-200 underflow, near 1e200 they overflow
+    for scale in (1e-200, 1e200):
+        assert _rms(np.array([1.0, -1.0, 3.0]) * scale) == pytest.approx(np.sqrt(11 / 3) * scale, rel=1e-15, abs=0)
+    assert _rms(np.zeros(3)) == 0.0
+    # the finite residuals are scaled beside an infinite one, so none of
+    # their squares overflows (a RuntimeWarning here)
+    assert _rms(np.array([INF, 1e200])) == INF
+
+
 def test_estimate_slopes_nd_overflowing_gradients_name_the_sample():
     x = np.random.default_rng(0).uniform(-1, 1, (30, 2))
     f = np.where(np.arange(30) % 2, 1.7e308, -1.7e308)
     with pytest.raises(TropicalError, match=r"gradient at sample \d+ \(x = .*\) overflows"):
         estimate_slopes_nd(x, f, 3)
-    # finite gradients whose squared k-means distances would overflow
-    with pytest.raises(TropicalError, match=r"gradient at sample \d+ .* too large to cluster"):
-        estimate_slopes_nd(x, 1e300 * x[:, 0], 3)
+    # finite gradients whose unscaled squared distances would overflow are
+    # clustered from their copies scaled into (-1, 1)
+    np.testing.assert_allclose(estimate_slopes_nd(x, 1e300 * x[:, 0], 3), [[1e300, 0.0]] * 3, rtol=1e-12, atol=1e286)
     with pytest.raises(TropicalError, match="overflows"):
         fit_max_affine(FitProblem(x, f, AutoSlopes(3)))
     # gradients that overflow only when scaled back from x * 2^shift
@@ -1029,6 +1069,11 @@ def test_least_squares_baseline():
         warnings.simplefilter("error")
         a, b = least_squares_line([1e300, -1e300, 0.0], [1.0, 2.0, 3.0])
     assert a == pytest.approx(-5e-301, rel=1e-15) and b == 2.0
+    # non-finite samples give NaN, with no RuntimeWarning
+    assert np.isnan(least_squares_line([1.0, INF, 2.0], [1.0, 2.0, 3.0])).all()
+    # near 1e-170 the squares underflow unless x and f are scaled first
+    a, b = least_squares_line(x * 1e-170, f * 1e-170)
+    assert a == pytest.approx(2.0, rel=1e-15) and b == pytest.approx(1e-170, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,3 +1289,43 @@ def test_given_slopes_fit_holds_one_design():
     finally:
         tracemalloc.stop()
     assert peak <= 59.4e6 - m * k * 8
+
+
+# ---------------------------------------------------------------------------
+# public refusals: the exception type and the whole message
+
+
+def _plane_problem(slopes):
+    x = np.random.default_rng(0).uniform(-1, 1, (12, 2))
+    return FitProblem(x, np.abs(x).sum(axis=1), GivenSlopes(slopes))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GivenSlopes(np.zeros((2, 2, 2))), DimensionMismatchError,
+     "slopes must form a (terms, dimension) array"),
+    (lambda: GivenSlopes(np.zeros((0, 2))), DimensionMismatchError, "slopes must form a (terms, dimension) array"),
+    (lambda: GivenSlopes([[1.0], [INF]]), TropicalError, "slope vectors must be finite"),
+    (lambda: FitProblem(np.zeros((3, 2)), np.zeros(4), AutoSlopes(1)), DimensionMismatchError,
+     "inputs must be (m, n) with one target per sample"),
+    (lambda: FitProblem(np.zeros((0, 2)), np.zeros(0), AutoSlopes(1)), TropicalError, "need at least one sample"),
+    (lambda: fit_max_affine(_plane_problem(_coordinate_slopes(2)), "lsq"), ValueError, "unknown method 'lsq'"),
+    (lambda: fit_max_affine(_plane_problem(np.ones((2, 3)))), DimensionMismatchError,
+     "slope vectors and samples disagree on dimension"),
+    (lambda: fit_line([1.0, 2.0], [1.0]), DimensionMismatchError, "x and f must be equal-length non-empty vectors"),
+    (lambda: fit_plane(np.zeros((3, 3)), np.zeros(3)), DimensionMismatchError,
+     "xy must be (m, 2) with one target per sample"),
+    (lambda: estimate_slopes_nd(np.arange(5.0), np.arange(5.0), 2), DimensionMismatchError,
+     "x must be (m, n) with one target per sample"),
+], ids=["slopes-3d", "slopes-empty", "slopes-inf", "problem-shape", "problem-empty", "method", "slope-width",
+        "line-shape", "plane-shape", "nd-of-1d"])
+def test_regression_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_vector_slopes_sample_count_and_constant_x_line():
+    # a 1-D slope vector is one slope per term; constant x has no slope
+    assert GivenSlopes([1.0, -2.0]).values.tolist() == [[1.0], [-2.0]]
+    assert _plane_problem(np.ones((1, 2))).num_samples == 12
+    assert least_squares_line([2.0, 2.0, 2.0], [1.0, 2.0, 6.0]) == (0.0, 3.0)

@@ -366,3 +366,19 @@ def test_solver_linear_complexity_scaling():
         if 2.0 <= ratio <= 8.0:
             break
     assert any(2.0 <= r <= 8.0 for r in ratios), f"ratios {ratios}"
+
+
+# ---------------------------------------------------------------------------
+# public refusals: the exception type and the whole message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: solve(TropicalMatrix([[0.0]], MAX_PLUS), TropicalVector([1.0], MAX_TIMES)), DimensionMismatchError,
+     "matrix clodum max-plus differs from vector clodum max-times"),
+    (lambda: solve(TropicalMatrix([[0.0]], MAX_PLUS), TropicalVector([1.0], MAX_PLUS), "lsq"), ValueError,
+     "unknown method 'lsq'"),
+], ids=["clodum", "method"])
+def test_solver_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)

@@ -525,3 +525,85 @@ def test_halfspace_membership_matches_direct_evaluation():
             left = max([lhs[-1]] + [lhs[i] + pt[i] for i in range(n)])
             right = max([rhs[-1]] + [rhs[i] + pt[i] for i in range(n)])
             assert halfspace_contains(h, pt) == (left <= right)
+
+
+# ---------------------------------------------------------------------------
+# public refusals: the exception type and the whole message
+
+_P2 = TropicalPolynomial(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 0.0]))
+_P1 = TropicalPolynomial(np.array([[1.0]]), np.array([0.0]))
+_MIN2 = TropicalPolynomial(np.array([[1.0, 0.0]]), np.array([0.0]), MAX_PLUS, "min")
+_MAXMIN2 = TropicalPolynomial(np.array([[1.0, 0.0]]), np.array([0.5]), MAX_MIN)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TropicalPolynomial(np.zeros((0, 2)), np.zeros(0)), DimensionMismatchError,
+     "slopes must be a (terms, dimension) array with >= 1 term"),
+    (lambda: TropicalPolynomial(np.array([[INF]]), np.zeros(1)), TropicalError, "slope vectors must be finite"),
+    (lambda: TropicalPolynomial(np.zeros((2, 1)), np.zeros(3)), DimensionMismatchError,
+     "need exactly one intercept per term"),
+    (lambda: TropicalPolynomial(np.zeros((1, 1)), np.zeros(1), MAX_PLUS, "mid"), TropicalError,
+     "orientation must be 'max' or 'min', got 'mid'"),
+    (lambda: TropicalPolynomial(np.array([[2.0]]), np.array([0.5]), MAX_MIN), UnsupportedClodumError,
+     "general slope vectors need max-plus; over other cloda each term must be constant or act on a single "
+     "coordinate with slope 1"),
+    (lambda: argmax_terms(_P2, [[0.0, 0.0], [1.0, 1.0]]), DimensionMismatchError,
+     "argmax_terms takes a single point"),
+    (lambda: argmax_terms(_P2, [0.0, 0.0, 0.0]), DimensionMismatchError,
+     "polynomial has dimension 2, got a point of dimension 3"),
+    (lambda: tropical_max(_P2, _MAXMIN2), TropicalError, "operands must share clodum and orientation"),
+    (lambda: tropical_max(_MIN2, _MIN2), TropicalError, "tropical_max combines max-orientation polynomials"),
+    (lambda: tropical_max(_P2, _P1), DimensionMismatchError, "operands must share dimension"),
+    (lambda: tropical_sum(_P2, _MAXMIN2), UnsupportedClodumError, "tropical_sum is defined over max-plus"),
+    (lambda: tropical_sum(_P2, _MIN2), TropicalError, "tropical_sum combines max-orientation polynomials"),
+    (lambda: tropical_sum(_P2, _P1), DimensionMismatchError, "operands must share dimension"),
+    (lambda: convex_hull_2d(np.zeros((3, 3))), DimensionMismatchError, "convex_hull_2d expects an (N, 2) array"),
+    (lambda: convex_hull_2d([[0.0, 0.0], [1.0, INF]]), TropicalError, "hull points must be finite"),
+    (lambda: Polytope(np.zeros((0, 2))), DimensionMismatchError, "generators must form a non-empty (N, n) array"),
+    (lambda: Polytope([[0.0, float("nan")]]), TropicalError, "generators must be finite"),
+    (lambda: polytope_minkowski_sum(Polytope([[0.0, 0.0]]), Polytope([1.0])), DimensionMismatchError,
+     "polytopes must share dimension"),
+    (lambda: newton_polytope(TropicalPolynomial(np.eye(2), np.full(2, -INF))), TropicalError,
+     "polynomial has no active terms"),
+    (lambda: TropicalHalfspace([0.0, 1.0], [0.0]), DimensionMismatchError,
+     "lhs and rhs must be equal-length vectors of n+1 entries"),
+    (lambda: TropicalHalfspace([float("nan"), -INF], [-INF, 0.0]), TropicalError,
+     "halfspace coefficients cannot be NaN"),
+    (lambda: TropicalHalfspace([0.0, -INF], [-INF, 0.0], "mid"), TropicalError,
+     "orientation must be 'max' or 'min', got 'mid'"),
+    (lambda: halfspace_contains(TropicalHalfspace([0.0, -INF], [-INF, 0.0]), [INF]), TropicalError,
+     "membership points must be finite"),
+], ids=["poly-shape", "poly-slope-inf", "poly-intercepts", "poly-orientation", "poly-general-slope",
+        "argmax-points", "argmax-dimension", "max-clodum", "max-orientation",
+        "max-dimension", "sum-clodum", "sum-orientation", "sum-dimension", "hull-shape", "hull-inf",
+        "polytope-shape", "polytope-nan", "minkowski-dimension", "newton-inert", "halfspace-shape",
+        "halfspace-nan", "halfspace-orientation", "halfspace-point-inf"])
+def test_tropgeom_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_polytopes_of_a_vector_and_of_two_dimensions():
+    # 1-D generators are one point each; polytopes of different dimensions differ
+    assert Polytope([3.0, 1.0, 2.0]).hull_vertices.tolist() == [[1.0], [3.0]]
+    assert not polytope_equal(Polytope([[0.0, 0.0]]), Polytope([0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 32])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_max_plus_design_of_nan_is_a_carrier_error(n, rows):
+    # whether X @ slopes.T sums products of 1e309 and -1e309 to NaN depends
+    # on how BLAS splits the sum (a fused multiply-add keeps +-inf); the
+    # evaluation refuses exactly the products that hold NaN
+    slopes = np.array([[10.0] * (n // 2) + [-10.0] * (n - n // 2)])
+    X = np.full((rows, n), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = X @ slopes.T
+    p = TropicalPolynomial(slopes, np.zeros(1))
+    if np.isnan(design).any():
+        with pytest.raises(CarrierError) as caught:
+            p.evaluate(X)
+        assert str(caught.value) == "NaN is not an element of the max-plus carrier"
+    else:
+        assert np.array_equal(p.evaluate(X), design[:, 0])

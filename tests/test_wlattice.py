@@ -655,3 +655,26 @@ def test_signal_ops_loop_over_the_shorter_support(op, kernel, monkeypatch):
     calls.clear()
     op(h, f)
     assert len(calls) == 31
+
+
+# ---------------------------------------------------------------------------
+# public refusals: the exception type and the whole message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TropicalVector([1.0, 2.0], MAX_PLUS)[2], IndexError, "index 2 is out of bounds for axis 0 with size 2"),
+    (lambda: matmul_dilate(TropicalMatrix(np.zeros((2, 3)), MAX_PLUS), TropicalMatrix(np.zeros((2, 2)), MAX_PLUS)),
+     DimensionMismatchError, "inner dimensions differ: 3 vs 2"),
+    (lambda: matmul_erode(TropicalMatrix(np.zeros((2, 1)), MAX_PLUS), TropicalMatrix(np.zeros((2, 2)), MAX_PLUS)),
+     DimensionMismatchError, "inner dimensions differ: 1 vs 2"),
+    (lambda: Signal1D([], 0, MAX_PLUS), DimensionMismatchError, "signal support must be non-empty"),
+], ids=["vector-index", "dilate-inner", "erode-inner", "signal-empty"])
+def test_wlattice_refusals(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (error, message)
+
+
+def test_vector_indexing_gives_a_float():
+    v = TropicalVector([1.0, -INF], MAX_PLUS)
+    assert (v[0], v[-1]) == (1.0, -INF) and type(v[0]) is float

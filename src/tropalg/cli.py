@@ -63,6 +63,7 @@ from .tropgeom import (
     polytope_join,
     polytope_minkowski_sum,
 )
+from .wlattice import _exponent
 
 __all__ = ["Dataset", "ingest_csv", "run_fit", "run_solve", "run_eval", "run_polytope", "main"]
 
@@ -131,9 +132,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _lines(*columns) -> str:
+    """One line per row of the columns of strings, its entries space-separated."""
+    return "\n".join(map(" ".join, zip(*columns))) + "\n"
+
+
 def _table_text(*columns) -> str:
-    """Numeric table text: one ``_row`` line per row."""
-    return "\n".join(map(_row, np.column_stack(columns).tolist())) + "\n"
+    """Numeric table text: the ``repr`` of each entry, one line per row."""
+    return _lines(*(map(repr, column) for column in np.column_stack(columns).T.tolist()))
 
 
 def _report_lines(title: str, pairs) -> str:
@@ -220,31 +226,28 @@ def _slope_policy(arg: str | None, width: int, seed: int) -> GivenSlopes | AutoS
 def _axis(values: np.ndarray, grid: int) -> np.ndarray:
     """``grid`` evenly spaced points from the least to the greatest value.
 
-    A range wider than the largest float is spaced on the halved bounds and
-    doubled, exactly; every other range is ``np.linspace`` of the bounds.
+    ``np.linspace`` of the bounds scaled by 2^-e into (-1, 1)
+    (``wlattice._exponent``), scaled back by 2^e: exact for every value
+    that stays normal, so the axis is that of the unscaled bounds wherever
+    their range is finite, and a range wider than the largest float still
+    gets its axis.
     """
-    lo, hi = float(values.min()), float(values.max())
-    if np.isfinite(hi - lo):
-        return np.linspace(lo, hi, grid)
-    return np.linspace(lo / 2, hi / 2, grid) * 2
+    e = _exponent(values)
+    lo, hi = np.ldexp([values.min(), values.max()], -e)
+    return np.ldexp(np.linspace(lo, hi, grid), e)
 
 
 def _model_grid(report: FitReport, data: Dataset, grid: int) -> str:
     x = data.features
     n = x.shape[1]
-    if n == 1:
-        gx = _axis(x, grid)
-        return _table_text(gx, report.model.evaluate(gx[:, None]))
-    if n == 2:
-        gx = _axis(x[:, 0], grid)
-        gy = _axis(x[:, 1], grid)
-        xx, yy = np.meshgrid(gx, gy, indexing="ij")
-        vals = report.model.evaluate(np.column_stack([xx.ravel(), yy.ravel()]))
-        # the _table_text of the grid points, with one repr per axis value
-        # instead of one per grid point
-        cells = itertools.product(map(repr, gx.tolist()), map(repr, gy.tolist()))
-        return "\n".join(f"{a} {b} {v}" for (a, b), v in zip(cells, map(repr, vals.tolist()))) + "\n"
-    return f"# grid emission supports 1 or 2 features; dataset has {n}\n"
+    if n > 2:
+        return f"# grid emission supports 1 or 2 features; dataset has {n}\n"
+    axes = [_axis(column, grid) for column in x.T]
+    vals = report.model.evaluate(np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")]))
+    # the _table_text of the grid points, with one repr per axis value
+    # instead of one per grid point
+    cells = itertools.product(*(map(repr, axis.tolist()) for axis in axes))
+    return _lines(map(" ".join, cells), map(repr, vals.tolist()))
 
 
 def _residual_table(report: FitReport, data: Dataset) -> str:

@@ -43,7 +43,7 @@ import numpy as np
 from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
 from .solver import _solve_checked
 from .tropgeom import TropicalPolynomial, _check_slopes, _term_design
-from .wlattice import _SLAB_ELEMS, DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt
+from .wlattice import _SLAB_ELEMS, DimensionMismatchError, TropicalMatrix, TropicalVector, _adopt, _exponent
 
 __all__ = [
     "GivenSlopes",
@@ -62,9 +62,6 @@ _INF = float("inf")
 
 KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-9
-
-# candidate (split, end) pairs per temporary array of the natural-breaks DP
-_JENKS_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -170,24 +167,6 @@ def _check_method(method: str, clodum: Clodum) -> None:
         raise UnsupportedClodumError(
             f"the MMAE fit is only l_inf-optimal over max-plus, not {clodum.spec_string()}"
         )
-
-
-def _exponent(v) -> int:
-    """The e with 2^-e * max|v| in [0.5, 1), the maximum taken over the
-    finite values of ``v``, or 0 when none of them is non-zero.
-
-    Every stage of a fit that squares numbers (``_rms``, ``_jenks_table``,
-    ``_kmeans``, ``_gradient_pool``, ``least_squares_line``) squares values
-    scaled by 2^-e, whose finite ones lie in (-1, 1), and scales its result
-    back; an infinity or a NaN stays as it is and reaches the result
-    without a finite square overflowing beside it.
-    Scaling by a power of two commutes with rounding for every value that
-    stays normal (Goldberg 1991, *What every computer scientist should know
-    about floating-point arithmetic*), so the results are those of the
-    unscaled values wherever those neither overflow nor underflow, and data
-    scaled by any power of two gives results scaled by it, bit for bit.
-    """
-    return int(np.frexp(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))[1])
 
 
 def _rms(res: np.ndarray) -> float:
@@ -394,10 +373,11 @@ def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     unscaled squares neither overflow nor underflow.  Row c of the table does
     not depend on k, so the table for k serves every smaller cluster count.
 
-    A block holds ``max(1, _JENKS_PAIRS // n)`` cluster ends, so no temporary
-    has more than ``_JENKS_PAIRS`` entries (n when n is larger), and extra
-    memory is O(k n) for the cost and split tables, never O(n^2).  Each
-    sse(i, j) is computed once per DP, not once per layer.
+    A block holds ``max(1, _SLAB_ELEMS // n)`` cluster ends, the slab budget
+    of every other temporary, so no temporary has more than ``_SLAB_ELEMS``
+    entries (n when n is larger), and extra memory is O(k n) for the cost
+    and split tables, never O(n^2).  Each sse(i, j) is computed once per DP,
+    not once per layer.
     """
     v = np.sort(values)
     n = len(v)
@@ -406,7 +386,7 @@ def _jenks_table(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     s2 = np.concatenate([[0.0], np.cumsum(w**2)])
     cost = np.full((k + 1, n), _INF)
     split = np.zeros((k + 1, n), dtype=int)
-    width = max(1, _JENKS_PAIRS // n)
+    width = max(1, _SLAB_ELEMS // n)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         cost[1] = _sse(s1, s2, 0, np.arange(n))
         # NaN loses every comparison, as +inf does; as +inf, every later cost
@@ -942,7 +922,8 @@ def least_squares_line(x, f) -> tuple[float, float]:
     back; the scaling is exact for every value it keeps in the normal range,
     so no sum of squares overflows or underflows needlessly, and
     (2^a x, 2^b f) gives the slope times 2^(b-a) and the intercept times 2^b,
-    bit for bit.  Constant x gives slope 0 and the mean of f.
+    bit for bit.  Constant x gives slope 0 and the mean of f, also taken of
+    the scaled f, so f near the largest float keeps a finite mean.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     f = np.asarray(f, dtype=float).reshape(-1)
@@ -953,6 +934,6 @@ def least_squares_line(x, f) -> tuple[float, float]:
         denom = m * np.sum(xs * xs) - np.sum(xs) ** 2
         num = m * np.sum(xs * fs) - np.sum(xs) * np.sum(fs)
     if denom == 0:
-        return 0.0, float(np.mean(f))
+        return 0.0, float(np.ldexp(np.mean(fs), q))
     a = num / denom
     return float(np.ldexp(a, q - p)), float(np.ldexp(np.mean(fs - a * xs), q))

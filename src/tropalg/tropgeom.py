@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clodum import MAX_PLUS, CarrierError, Clodum, TropicalError, UnsupportedClodumError
-from .wlattice import _SLAB_ELEMS, DimensionMismatchError
+from .wlattice import _SLAB_ELEMS, DimensionMismatchError, _exponent
 
 __all__ = [
     "TropicalPolynomial",
@@ -265,10 +265,15 @@ def convex_hull_2d(points, tol: float | None = None):
     """Convex hull of planar points, counterclockwise and minimal.
 
     Monotone chain starting from the lexicographically smallest vertex;
-    collinear-redundant points are dropped.  Integer inputs are processed
-    with exact integer cross products, floats with a collinearity tolerance
-    of ``tol`` (default 1e-12), a non-negative number, scaled by the squared
-    coordinate magnitude.
+    collinear-redundant points are dropped.  Integer inputs below 2**40 are
+    processed with exact integer cross products.  Float inputs follow the
+    power-of-two rule of ``wlattice._exponent``: their cross products are
+    taken of the points scaled by 2^-e into (-1, 1), against a collinearity
+    tolerance of ``tol`` (default 1e-12), a non-negative number, times
+    max(1, max|p|)^2 in the same units, so no cross product overflows.  The
+    scaling is exact for every value that stays normal, so the hull is that
+    of the unscaled cross products wherever those neither overflow nor
+    underflow.  The vertices returned are input points.
     """
     _check_tol(tol)
     pts = np.asarray(points, dtype=float)
@@ -280,15 +285,16 @@ def convex_hull_2d(points, tol: float | None = None):
     if len(pts) == 1:
         return pts
     scale = float(np.abs(pts).max())
-    if scale >= 2.0**510:  # a cross product of float points reaches 8 * scale**2
-        raise TropicalError(f"hull coordinates must be below 2**510 in magnitude, got {scale!r}")
-    exact = bool(np.all(pts == np.rint(pts)) and scale < 2**40)
-    if exact:
-        rows = [(int(a), int(b)) for a, b in pts]
+    if np.all(pts == np.rint(pts)) and scale < 2**40:
+        pts = pts + 0.0  # the vertices are the integers: no -0.0
+        rows = [(int(a), int(b), i) for i, (a, b) in enumerate(pts)]
         eps = 0
     else:
-        rows = [(float(a), float(b)) for a, b in pts]
-        eps = (1e-12 if tol is None else tol) * max(1.0, scale) ** 2
+        e = _exponent(pts)
+        rows = [(a, b, i) for i, (a, b) in enumerate(np.ldexp(pts, -e).tolist())]
+        tol = 1e-12 if tol is None else tol
+        # tol * max(1, scale)**2 in units of 2^2e: below 1 the scale drops out
+        eps = tol * float(np.ldexp(scale, -e)) ** 2 if e > 0 else float(np.ldexp(tol, -2 * e))
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -303,8 +309,7 @@ def convex_hull_2d(points, tol: float | None = None):
 
     lower = chain(rows)
     upper = chain(reversed(rows))
-    hull = lower[:-1] + upper[:-1]
-    return np.array(hull, dtype=float)
+    return pts[[row[2] for row in lower[:-1] + upper[:-1]]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,9 @@ treating the longer one as a single vector op; erosion runs it with the kernel
 reversed.  Each output entry meets its operands in the same order
 whatever the slab or loop axis, so results are reproducible to the bit, signed
 zeros included.
+
+The slab budget ``_SLAB_ELEMS`` and the power-of-two scaling rule
+``_exponent`` live here, below every module that uses them.
 """
 
 from __future__ import annotations
@@ -49,6 +52,26 @@ _INF = float("inf")
 # Element budget of one slab: (rows of A) * k * n for a matrix product,
 # (rows of A) * n for a matrix-vector product, (points) * terms for evaluation.
 _SLAB_ELEMS = 65536
+
+
+def _exponent(v) -> int:
+    """The e with 2^-e * max|v| in [0.5, 1), the maximum taken over the
+    finite values of ``v``, or 0 when none of them is non-zero.
+
+    Every stage that squares or multiplies numbers works on values scaled by
+    2^-e, whose finite ones lie in (-1, 1), and scales its result back: the
+    sums of squares of a fit (``regression._rms``, ``_jenks_table``,
+    ``_kmeans``, ``_gradient_pool``, ``least_squares_line``), the cross
+    products of ``tropgeom.convex_hull_2d`` and the model-grid axes of
+    ``cli._axis``.  An infinity or a NaN stays as it is and reaches the result
+    without a finite square overflowing beside it.
+    Scaling by a power of two commutes with rounding for every value that
+    stays normal (Goldberg 1991, *What every computer scientist should know
+    about floating-point arithmetic*), so the results are those of the
+    unscaled values wherever those neither overflow nor underflow, and data
+    scaled by any power of two gives results scaled by it, bit for bit.
+    """
+    return int(np.frexp(np.max(np.abs(v), initial=0.0, where=np.isfinite(v)))[1])
 
 
 class DimensionMismatchError(TropicalError):

@@ -8,9 +8,9 @@ k-NN oracle compares every pair of points instead of searching cells.  The
 tensor matrix product, the per-sample signal loops, the whole-table polynomial
 evaluation and matrix-vector products, the always-NaN-filling clodum kernels,
 the mask-based k-means, the ``matrix_rank`` + ``pinv`` gradient stage, the
-per-cell CSV reader, the per-token tropmat parser and the per-row and
-per-element text writers are the library's former implementations, kept to pin
-the bytes of their replacements.
+monotone chain on unscaled cross products, the per-cell CSV reader, the
+per-token tropmat parser and the per-row and per-element text writers are the
+library's former implementations, kept to pin the bytes of their replacements.
 """
 
 import numpy as np
@@ -60,6 +60,41 @@ def brute_hull_2d(points):
         walk.append(cur)
         cur = succ[cur]
     return np.array(walk)
+
+
+def hull_unscaled(points, tol=None):
+    """The monotone chain hull on the points as given, as ``convex_hull_2d``
+    ran before it scaled its float cross products: exact integer cross
+    products below 2**40, float ones against ``tol`` (default 1e-12) times
+    max(1, max|p|)^2.  Valid for coordinates below 2**510, whose cross
+    products cannot overflow.
+    """
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) == 1:
+        return pts
+    scale = float(np.abs(pts).max())
+    assert scale < 2.0**510
+    if np.all(pts == np.rint(pts)) and scale < 2**40:
+        rows = [(int(a), int(b)) for a, b in pts]
+        eps = 0
+    else:
+        rows = [(float(a), float(b)) for a, b in pts]
+        eps = (1e-12 if tol is None else tol) * max(1.0, scale) ** 2
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for point in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], point) <= eps:
+                out.pop()
+            out.append(point)
+        return out
+
+    lower = chain(rows)
+    upper = chain(reversed(rows))
+    return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
 def maxplus_apply(A, x):

@@ -33,7 +33,7 @@ from tropalg import (
     write_polynomial,
     write_tropmat,
 )
-from tropalg.cli import Dataset, _model_grid, _residual_table, _table_text, ingest_csv, main
+from tropalg.cli import Dataset, _axis, _model_grid, _residual_table, _table_text, ingest_csv, main
 from tropalg.clodum import CarrierError, TropicalError
 from tropalg.regression import AutoSlopes, FitProblem, fit_max_affine
 
@@ -470,6 +470,25 @@ def test_2d_grid_formats_each_axis_value_once(monkeypatch):
     monkeypatch.setattr(tropalg.cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
     _model_grid(report, data, 101)
     assert len(calls) == 101 + 101 + 101**2
+
+
+@pytest.mark.parametrize("a", [-300, 300, 600, 1000])
+def test_axis_scales_by_powers_of_two(a):
+    # the bounds are spaced scaled into (-1, 1): a finite range gets the
+    # linspace of its bounds, and 2^a times the values 2^a times the axis
+    rng = np.random.default_rng(a % 991)
+    for _ in range(300):
+        v = rng.normal(rng.normal(), 1.0, int(rng.integers(1, 6))) * 2.0 ** rng.uniform(-20, 20)
+        grid = int(rng.integers(1, 40))
+        axis = _axis(v, grid)
+        assert axis.tobytes() == np.linspace(v.min(), v.max(), grid).tobytes()
+        assert _axis(np.ldexp(v, a), grid).tobytes() == np.ldexp(axis, a).tobytes()
+
+
+def test_axis_spans_a_range_wider_than_the_largest_float():
+    axis = _axis(np.array([-1.5e308, 0.0, 1.7e308]), 5)
+    assert axis.tobytes() == np.ldexp(np.linspace(-1.5e308 / 2, 1.7e308 / 2, 5), 1).tobytes()
+    assert axis[0] == -1.5e308 and axis[-1] == 1.7e308
 
 
 # ---------------------------------------------------------------------------
@@ -1126,6 +1145,30 @@ def test_polytope_command_reference(tmp_path, capsys):
     assert "newton[1].vertices: 4" in out
     assert "join.vertices:" in out
     assert "minkowski_sum.vertices:" in out
+
+
+def test_polytope_of_a_fit_scaled_by_two_to_the_990(tmp_path, capsys):
+    # the fitted slopes of a target times 2^990 are near 1e298, where the
+    # unscaled hull's cross products would overflow: the Newton polytope is
+    # the unscaled fit's, times 2^990
+    rng = np.random.default_rng(1)
+    xy = rng.uniform(-1, 1, (200, 2))
+    f = np.abs(xy).sum(axis=1)
+    vertices = []
+    for e in (0, 990):
+        data = tmp_path / f"d{e}.csv"
+        rows = np.column_stack([xy, np.ldexp(f, e)])
+        data.write_text("x,y,f\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()),
+                        encoding="utf-8")
+        out = tmp_path / f"r{e}"
+        assert main(["fit", str(data), "--slopes", "auto:4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["polytope", f"{out}.model.txt"]) == 0
+        report = capsys.readouterr().out
+        vertices.append(np.array([line.split(": ")[1].split() for line in report.splitlines()
+                                  if line.startswith("newton[0].vertex[")], dtype=float))
+    assert len(vertices[0]) >= 3
+    assert vertices[1].tobytes() == np.ldexp(vertices[0], 990).tobytes()
 
 
 def test_polytope_high_dimension_notice(tmp_path, capsys):

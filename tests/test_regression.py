@@ -379,12 +379,12 @@ def _jenks_inputs(rng):
     yield np.array([1.0, -INF, 2.0, INF, 2.0, 0.5, INF])
 
 
-@pytest.mark.parametrize("pairs", [1, 5, 64, 256, tropalg.regression._JENKS_PAIRS])
+@pytest.mark.parametrize("pairs", [1, 5, 64, 256, 8192, tropalg.wlattice._SLAB_ELEMS])
 def test_jenks_breaks_match_scalar_dp(pairs, monkeypatch):
     # block sizes down to one end index per block, and blocks narrower than
     # k (64 pairs at n = 17, 256 at n = 60), give the same breaks; so do
     # k = n and k = n - 1, where the first blocks end before layer k starts
-    monkeypatch.setattr(tropalg.regression, "_JENKS_PAIRS", pairs)
+    monkeypatch.setattr(tropalg.regression, "_SLAB_ELEMS", pairs)
     rng = np.random.default_rng(71)
     for vals in _jenks_inputs(rng):
         n = len(vals)
@@ -418,12 +418,12 @@ def test_jenks_breaks_memory_is_bounded():
     assert peak < 4e6
 
 
-@pytest.mark.parametrize("pairs", [500, tropalg.regression._JENKS_PAIRS])
+@pytest.mark.parametrize("pairs", [500, 8192, tropalg.wlattice._SLAB_ELEMS])
 def test_jenks_breaks_compute_each_sse_once(pairs, monkeypatch):
     # every (split, end) cost is computed at most once per DP, whatever the
     # cluster count: the triangle i <= j once, plus the i > j corner of each
     # block, at most (width - 1) / 2 entries per end
-    monkeypatch.setattr(tropalg.regression, "_JENKS_PAIRS", pairs)
+    monkeypatch.setattr(tropalg.regression, "_SLAB_ELEMS", pairs)
     sse = tropalg.regression._sse
     seen = []
 
@@ -1329,3 +1329,11 @@ def test_vector_slopes_sample_count_and_constant_x_line():
     assert GivenSlopes([1.0, -2.0]).values.tolist() == [[1.0], [-2.0]]
     assert _plane_problem(np.ones((1, 2))).num_samples == 12
     assert least_squares_line([2.0, 2.0, 2.0], [1.0, 2.0, 6.0]) == (0.0, 3.0)
+
+
+def test_constant_x_line_takes_the_mean_of_scaled_f():
+    # the mean of f is taken of f scaled into (-1, 1), as the sums are: near
+    # the largest float the unscaled sum overflowed to an inf intercept
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert least_squares_line([2.0, 2.0, 2.0], [1.5e308] * 3) == (0.0, 1.5e308)

@@ -32,7 +32,7 @@ from tropalg import (
 
 INF = float("inf")
 
-from oracles import brute_hull_2d, evaluate_full_table, term_values_per_term  # noqa: E402
+from oracles import brute_hull_2d, evaluate_full_table, hull_unscaled, term_values_per_term  # noqa: E402
 from tropalg.wlattice import _SLAB_ELEMS  # noqa: E402
 
 
@@ -69,6 +69,15 @@ def test_eval_conic_matches_termwise_oracle():
     for pt in rng.normal(0, 4, (30, 2)):
         terms = [a + 2 * pt[0], b + pt[0] + pt[1], c + 2 * pt[1], d + pt[0], e + pt[1], f]
         assert p.evaluate(pt) == pytest.approx(max(terms), abs=1e-12)
+
+
+def test_one_dimensional_slope_vector_is_one_column():
+    # a 1-D slope vector holds one slope per term of a univariate polynomial
+    p = TropicalPolynomial(np.array([1.0, -2.0]), np.array([0.5, 0.0]))
+    q = TropicalPolynomial(np.array([[1.0], [-2.0]]), np.array([0.5, 0.0]))
+    assert p.slopes.shape == (2, 1) and p.slopes.tolist() == q.slopes.tolist()
+    points = np.linspace(-3.0, 3.0, 13)[:, None]
+    assert p.evaluate(points).tobytes() == q.evaluate(points).tobytes()
 
 
 def test_eval_batch_and_dim_check():
@@ -416,13 +425,61 @@ def test_hull_tolerance_must_be_non_negative(tol):
     assert convex_hull_2d(pts, tol=0.0).tolist() == [[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]
 
 
-def test_hull_refuses_coordinates_whose_cross_products_could_overflow():
-    # the squared scale of 1e300 overflowed into an OverflowError traceback
+def _hull_inputs(rng, scale):
+    """Random planar point sets around ``scale``: normal, circle, lattice
+    and near-collinear ones."""
+    n = int(rng.integers(1, 25))
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.normal(size=(n, 2)) * scale
+    if kind == 1:
+        t = rng.uniform(0, 2 * np.pi, n)
+        return np.column_stack([np.cos(t), np.sin(t)]) * scale
+    if kind == 2:
+        return rng.integers(-9, 10, (n, 2)) * (rng.uniform(0.5, 1.5) * scale)
+    t = rng.uniform(-1, 1, n)
+    return np.column_stack([t, 0.3 * t + rng.normal(size=n) * 10.0 ** rng.uniform(-16, -4)]) * scale
+
+
+def test_hull_matches_unscaled_oracle():
+    # below 2**510 the unscaled cross products cannot overflow, and at these
+    # scales they do not underflow: scaling them by 2^-2e changes no bit
+    rng = np.random.default_rng(131)
+    for it in range(6000):
+        if it % 4 == 3:  # integers and -0.0, below and above the exact path's 2**40
+            bound = 2 ** int(rng.integers(3, 48))
+            pts = rng.integers(-bound, bound, (int(rng.integers(1, 25)), 2))
+            pts = np.where(rng.random(pts.shape) < 0.1, -0.0, pts)
+        else:  # half of them near 1, where the tolerance's max(1, scale) bends
+            pts = _hull_inputs(rng, 10.0 ** rng.uniform(-150, 150) if it % 2 else 2.0 ** rng.uniform(-2, 2))
+        tol = (None, 0.0, 1e-6)[it % 3]
+        assert convex_hull_2d(pts, tol).tobytes() == hull_unscaled(pts, tol).tobytes(), (it, tol)
+
+
+@pytest.mark.parametrize("a", [-300, 300, 600, 1000])
+@pytest.mark.parametrize("tol", [None, 0.0, 1e-6])
+def test_hull_scales_by_powers_of_two(a, tol):
+    # off the integer path, with max|p| >= 1 before and after the scaling,
+    # the chain compares the same scaled cross products against the same
+    # tolerance: 2^a * P has the hull 2^a * hull(P), bit for bit
+    rng = np.random.default_rng(a % 997)
+    for _ in range(200):
+        pts = _hull_inputs(rng, 2.0 ** rng.uniform(301 if a < 0 else 0.5, 320 if a < 0 else 20))
+        if np.all(pts == np.rint(pts)):
+            continue
+        assert convex_hull_2d(np.ldexp(pts, a), tol).tobytes() == np.ldexp(convex_hull_2d(pts, tol), a).tobytes()
+
+
+def test_hull_takes_coordinates_whose_cross_products_would_overflow():
+    # the unscaled cross products at 2**510 and 1e300 would overflow; the
+    # scaled ones do not, and the hull is that of the points scaled down
     big = 2.0**509
     assert convex_hull_2d([[0, 0], [big, 0], [0.5, 0.5], [0, big]]).tolist() == [[0.0, 0.0], [big, 0.0], [0.0, big]]
     for scale in (2.0**510, -1e300):
-        with pytest.raises(TropicalError, match=r"^hull coordinates must be below 2\*\*510 in magnitude, got "):
-            convex_hull_2d([[0, 0], [scale, 0], [0.5, 0.5]])
+        pts = np.array([[0, 0], [scale, 0], [0.5, 0.5], [0, scale]])
+        a = int(np.frexp(scale)[1]) - 1  # ldexp(pts, -a) has max|p| in [1, 2)
+        assert convex_hull_2d(pts).tobytes() == np.ldexp(convex_hull_2d(np.ldexp(pts, -a)), a).tobytes()
+    assert convex_hull_2d(pts).tolist() == [[-1e300, 0.0], [0.0, -1e300], [0.5, 0.5]]
 
 
 def test_polytope_1d_hull():
